@@ -3,8 +3,9 @@
 The sharding layer (E24) fixes cell->host assignment up front, so a
 heterogeneous fleet pays for its slowest member: one 10x-slow host
 stretches the merged sweep by roughly the slow shard's whole wall-clock
-(straggler ratio ~2-3 on four shards).  The elastic pull scheduler
-(`repro.workloads.elastic`) removes that tax — workers lease cells from
+(straggler ratio ~2-3 on four shards).  The lease loop every
+multiprocess sweep runs (`repro.workloads.remote`) removes that tax —
+workers lease cells from
 a shared queue under heartbeats, a dead worker's cells re-dispatch, and
 the end-game speculatively re-executes stragglers — so per-worker
 wall-clock stays near-uniform even with one 10x-slow worker *and* one
@@ -112,7 +113,6 @@ def snapshot() -> dict:
         elastic = execute_sweep(
             spec,
             ExecutionPolicy(
-                elastic=True,
                 workers=N_SHARDS,
                 heartbeat_interval=0.05,
                 journal=elastic_path,
@@ -164,7 +164,7 @@ def test_e26_elastic_beats_static_straggler(benchmark, save_artifact):
     assert snap["elastic_cells_quarantined"] == 0
     assert snap["static_rows_bit_identical"]
     assert snap["elastic_rows_bit_identical"]
-    assert snap["elastic_scheduler"] == "elastic"
+    assert snap["elastic_scheduler"] == "lease"
 
     benchmark.extra_info.update(
         {

@@ -250,10 +250,6 @@ def _best_of(run, rounds: int) -> float:
 
 def snapshot_throughput(rounds: int = 3) -> dict:
     """Best-of-*rounds* jobs/s for every engine; pure measurement, no I/O."""
-    import os
-
-    from repro.engine import jit
-
     results = {}
     for label, run in _model_runs():
         results[label] = round(N_JOBS / _best_of(run, rounds), 1)
@@ -265,39 +261,10 @@ def snapshot_throughput(rounds: int = 3) -> dict:
             "batch_size": total // N_JOBS,
             "speedup_vs_scalar": round(rate / results[label], 2),
         }
-    jit_results = {}
-    numba_version = None
-    if jit.numba_available():
-        import numba
-
-        numba_version = numba.__version__
-        prior = os.environ.get(jit.JIT_ENV)
-        os.environ[jit.JIT_ENV] = "1"
-        try:
-            for label, total, run in _batch_runs():
-                if not label.startswith("immediate["):
-                    continue  # the jit seam covers the immediate step loop
-                run()  # warm the compile cache outside the timed rounds
-                rate = total / _best_of(run, rounds)
-                jit_results[label] = {
-                    "jobs_per_second": round(rate, 1),
-                    "batch_size": total // N_JOBS,
-                    "speedup_vs_scalar": round(rate / results[label], 2),
-                    "speedup_vs_batch": round(
-                        rate / batch_results[label]["jobs_per_second"], 2
-                    ),
-                }
-        finally:
-            if prior is None:
-                os.environ.pop(jit.JIT_ENV, None)
-            else:
-                os.environ[jit.JIT_ENV] = prior
     backends = {
         "scalar": {"jobs_per_second": results},
         "batch": batch_results,
     }
-    if jit_results:
-        backends["jit"] = jit_results
     return {
         "n_jobs": N_JOBS,
         "machines": MACHINES,
@@ -306,7 +273,6 @@ def snapshot_throughput(rounds: int = 3) -> dict:
         "rounds": rounds,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "jobs_per_second": results,
         "backends": backends,
     }
@@ -322,12 +288,6 @@ def main() -> int:
         print(
             f"{label:33s} {row['jobs_per_second']:>12,.0f} jobs/s  "
             f"[batch x{row['batch_size']}, {row['speedup_vs_scalar']}x scalar]"
-        )
-    for label, row in snapshot["backends"].get("jit", {}).items():
-        print(
-            f"{label:33s} {row['jobs_per_second']:>12,.0f} jobs/s  "
-            f"[jit x{row['batch_size']}, {row['speedup_vs_scalar']}x scalar, "
-            f"{row['speedup_vs_batch']}x batch]"
         )
     print(f"wrote {out}")
     return 0

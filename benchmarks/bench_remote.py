@@ -177,7 +177,7 @@ def test_e28_remote_chaos_merges_bit_identical(benchmark, save_artifact):
     assert snap["chaotic_cells_lost"] == 0
     assert snap["chaotic_cells_completed"] == snap["cells"]
     assert snap["hosts_quarantined"] == ["b"]
-    assert snap["scheduler"] == "elastic-remote"
+    assert snap["scheduler"] == "lease"
     assert snap["degraded_rows_bit_identical"]
     assert snap["degraded_to_local"]
     assert snap["degraded_cells_lost"] == 0

@@ -3,8 +3,9 @@
 The benchmark grids behind Theorems 1–2 only certify the paper's bounds
 if they can *finish*; this bench measures the resilience layer that
 makes long grids durable.  It runs the same sweep three ways — classic
-serial, strict parallel, and the resilient runner under a deterministic
-chaos plan (crashes, hangs, transient errors, corrupted rows) — and
+serial, strict parallel, and the fault-tolerant lease loop under a
+deterministic chaos plan (crashes, hangs, transient errors, corrupted
+rows) — and
 records completion, recovery and overhead numbers.
 
 Checks:
@@ -16,9 +17,9 @@ Checks:
   and only persistently-poisoned cells are quarantined;
 * a journal-backed run interrupted mid-grid resumes to a row set
   bit-identical to the uninterrupted serial sweep;
-* the fault-free overhead of the resilient scheduler stays within an
-  order of magnitude of the strict pool (fresh-process isolation is the
-  price of fault containment; cells are coarse enough to amortise it).
+* the fault-free overhead of the fault-tolerant policy stays within an
+  order of magnitude of the strict one (both run the same lease loop;
+  cells are coarse enough to amortise heartbeats and validation).
 """
 
 import time
@@ -82,7 +83,7 @@ def measure():
     chaotic = execute_sweep(
         spec,
         ExecutionPolicy(
-            chaos=CHAOS, timeout=2.0, retries=2, backoff=0.05, workers=4
+            chaos=CHAOS, timeout=2.0, retries=2, workers=4
         ),
     )
     timings["resilient (chaos)"] = time.perf_counter() - t0

@@ -42,7 +42,7 @@ from repro.analysis import compare_algorithms, fig1_series
 from repro.offline import opt_bracket
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BoundFunction",

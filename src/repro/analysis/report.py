@@ -224,8 +224,8 @@ def _section_engine() -> str:
         + format_markdown(rows)
         + "\nEvery model runs on the shared kernel; identical stats are attached\n"
         + "to every run (`Schedule.meta['stats']`), sweep cell and duel.  Sweep\n"
-        + "cells execute through the fault-tolerant runner (see the resilience\n"
-        + "section) in both the parallel and the checkpointed paths.\n"
+        + "cells execute through the fault-tolerant lease loop (see the\n"
+        + "resilience section) whenever a sweep uses worker processes.\n"
     )
 
 
@@ -251,7 +251,7 @@ def _section_resilience() -> str:
         persistent_rate=0.4, seed=11,
     )
     result = execute_sweep(
-        spec, ExecutionPolicy(chaos=plan, retries=2, backoff=0.01, workers=2)
+        spec, ExecutionPolicy(chaos=plan, retries=2, workers=2)
     )
     manifest = result.manifest
     faulted = plan.faulted_cells(spec.cell_seed(*c) for c in spec.cells())
@@ -354,7 +354,6 @@ def _section_sharding() -> str:
                     shards=n_shards,
                     shard_index=i,
                     journal=path,
-                    elastic=True,
                     workers=2,
                 ),
             )
@@ -391,7 +390,7 @@ def _section_sharding() -> str:
         + f"**{'yes' if identical else 'NO — INVESTIGATE'}**.  The shard plan\n"
         + "is a pure function of the spec fingerprint, so independent hosts\n"
         + "partition identically with no coordination (here each shard runs the\n"
-        + "elastic pull scheduler over its own cells); `repro merge` validates\n"
+        + "lease loop over its own cells); `repro merge` validates\n"
         + "fingerprints and shard stamps before combining journals.\n"
     )
 
@@ -478,7 +477,7 @@ def _section_transport() -> str:
 
 
 def _section_elastic() -> str:
-    """Elastic pull scheduler: leases, heartbeats, speculation, recovery."""
+    """The lease loop under worker chaos: heartbeats, speculation, recovery."""
     import json
     import tempfile
     from functools import partial
@@ -504,7 +503,6 @@ def _section_elastic() -> str:
         result = execute_sweep(
             spec,
             ExecutionPolicy(
-                elastic=True,
                 workers=3,
                 heartbeat_interval=0.05,
                 journal=path,

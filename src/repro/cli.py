@@ -11,7 +11,7 @@ Commands
 ``simulate`` run one algorithm through the kernel and print its run stats
 ``serve``    run the live admission service (HTTP + NDJSON socket)
 ``serve-bench`` drive a server with MMPP load and report latency stats
-``sweep``    run a sweep grid (serial, parallel, resilient, or one shard)
+``sweep``    run a sweep grid (serial, multiprocess lease loop, or one shard)
 ``collect``  pull shard journals into a verified inbox (retry/salvage)
 ``verify``   check journal seals and row checksums end to end
 ``merge``    merge shard journals into one dataset with a coverage report
@@ -149,12 +149,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         inst = cloud_instance(args.n, args.m, args.eps, seed=args.seed)
     else:
         inst = alternating_instance(max(1, args.n // (2 * args.m)), args.m, args.eps)
-    if args.jit:
-        import os
-
-        from repro.engine.jit import JIT_ENV
-
-        os.environ[JIT_ENV] = "1"
     result = run_simulation(
         SimulationRequest(args.algorithm, inst, record_events=args.events),
         backend=args.backend,
@@ -455,12 +449,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         or args.timeout is not None
         or args.manifest is not None
         or args.shards > 1
-        or args.elastic
+        or args.adaptive_reps
         or args.hosts is not None
     )
-    if args.adaptive_reps and not args.elastic:
-        print("error: --adaptive-reps requires --elastic", file=sys.stderr)
-        return 2
     hosts = None
     if args.hosts is not None:
         from repro.workloads.remote import load_hosts
@@ -476,7 +467,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             result = execute_sweep(
                 spec,
-                ExecutionPolicy(cache=cache, backend=args.backend, jit=args.jit),
+                ExecutionPolicy(cache=cache, backend=args.backend),
             )
         except KeyboardInterrupt:
             print("\ninterrupted: serial sweep discarded; re-run with --journal "
@@ -488,11 +479,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         policy = ExecutionPolicy(
-            parallel=True,
-            workers=args.parallel or None,
+            workers=args.parallel or min(len(list(spec.cells())), os.cpu_count() or 2),
             timeout=args.timeout,
             retries=args.retries,
-            backoff=args.backoff,
             journal=journal_path,
             resume=args.resume is not None,
             salvage=args.salvage,
@@ -500,8 +489,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             shards=args.shards,
             shard_index=args.shard_index,
             backend=args.backend,
-            jit=args.jit,
-            elastic=args.elastic,
             speculate=args.speculate,
             adaptive_reps=args.adaptive_reps,
             heartbeat_interval=args.heartbeat_interval,
@@ -780,12 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
              "batch falls back to scalar with a warning when unsupported",
     )
     p.add_argument(
-        "--jit", action="store_true",
-        help="run batch kernels through the optional numba-jitted inner "
-             "loop (REPRO_NUMBA=1); warns and falls back to NumPy when "
-             "numba is not installed — results are identical either way",
-    )
-    p.add_argument(
         "--json", action="store_true",
         help="print a machine-readable JSON document on stdout and route "
              "all human-readable lines to stderr",
@@ -864,8 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--parallel", type=int, default=0,
         help="worker count; 0 = serial, unless --timeout/--journal/--resume/"
-             "--manifest is given (each implies the fault-tolerant "
-             "multiprocess runner)",
+             "--manifest/--shards/--adaptive-reps/--hosts is given (each "
+             "implies the multiprocess lease loop, sized to the CPUs)",
     )
     p.add_argument("--csv", help="write the raw rows to this CSV file")
     p.add_argument(
@@ -874,11 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--retries", type=int, default=2,
-        help="extra attempts per failed cell, each in a fresh worker (default 2)",
-    )
-    p.add_argument(
-        "--backoff", type=float, default=0.25,
-        help="base retry delay in seconds, doubled per attempt (default 0.25)",
+        help="extra attempts per failed cell (default 2); a cell that kills "
+             "retries + 1 workers is quarantined as a crash",
     )
     p.add_argument(
         "--journal",
@@ -929,44 +907,31 @@ def build_parser() -> argparse.ArgumentParser:
              "(see docs/engine_backends.md)",
     )
     p.add_argument(
-        "--jit", action="store_true",
-        help="batch kernels use the optional numba-jitted inner loop "
-             "(exports REPRO_NUMBA=1 to workers); warns and falls back to "
-             "NumPy when numba is not installed",
-    )
-    p.add_argument(
-        "--elastic", action="store_true",
-        help="pull-based elastic scheduler: persistent workers lease cells "
-             "from a shared queue, heartbeats separate slow workers from "
-             "hung ones, dead workers are respawned and their leases "
-             "re-dispatched (see docs/resilience.md)",
-    )
-    p.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=True,
-        help="with --elastic: re-execute straggler cells speculatively once "
+        help="re-execute straggler cells speculatively once "
              "the queue runs dry; first verified result wins and duplicates "
              "are asserted bit-identical (default: on)",
     )
     p.add_argument(
         "--adaptive-reps", action="store_true",
-        help="with --elastic: issue repetitions lazily and skip the "
+        help="issue repetitions lazily and skip the "
              "remainder of a config once the bootstrap CI of every "
              "algorithm's mean accepted load is tight",
     )
     p.add_argument(
         "--heartbeat-interval", type=float, default=0.1,
-        help="with --elastic: worker heartbeat cadence in seconds "
+        help="worker heartbeat cadence in seconds "
              "(default 0.1)",
     )
     p.add_argument(
         "--lease-timeout", type=float, default=None,
-        help="with --elastic: seconds without a heartbeat before a lease is "
+        help="seconds without a heartbeat before a lease is "
              "presumed dead and re-dispatched (default: 10x the heartbeat "
              "interval)",
     )
     p.add_argument(
         "--hosts", metavar="HOSTS_JSON",
-        help="remote elastic execution: serve the lease queue to worker "
+        help="remote execution: serve the lease queue to worker "
              "processes on the hosts in this registry (name, launch "
              "command, slots per host; see docs/remote_execution.md)",
     )

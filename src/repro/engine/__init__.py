@@ -23,10 +23,8 @@ dispatches :class:`~repro.engine.backend.SimulationRequest` batches either
 to the scalar golden path above or to the structure-of-arrays NumPy kernels
 (:mod:`repro.engine.batch`, :mod:`repro.engine.batch_delayed`,
 :mod:`repro.engine.batch_penalties`), which are bit-identical to it — see
-``docs/engine_backends.md``.  An optional numba-jitted inner loop
-(:mod:`repro.engine.jit`, ``REPRO_NUMBA=1``) accelerates the immediate
-batch kernels without changing a single bit; ``docs/kernel_authoring.md``
-explains how to add a kernel that keeps these guarantees.
+``docs/engine_backends.md``; ``docs/kernel_authoring.md`` explains how to
+add a kernel that keeps these guarantees.
 
 For request-at-a-time use (the ``repro serve`` service), the kernel's
 event loop is also exposed incrementally: :func:`~repro.engine.controller.

@@ -21,9 +21,7 @@ through :func:`run_simulations`, which dispatches to one of two
     requests through vectorised decision rules.  The contract is
     *bit-identity*: schedules, ``RunStats`` counters and journal rows
     match the scalar backend exactly (asserted by
-    ``tests/engine/test_backends.py``).  With ``REPRO_NUMBA=1`` and numba
-    installed, the immediate-model inner loop runs jit-compiled
-    (:mod:`repro.engine.jit`) — same contract, same bits.
+    ``tests/engine/test_backends.py``).
 
 ``auto``
     Batch where it pays off, scalar everywhere else — see

@@ -9,38 +9,12 @@ algorithm against its theoretical guarantee.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.model.instance import Instance
 from repro.offline.bounds import opt_upper_bound
 from repro.offline.exact import EXACT_JOB_LIMIT, exact_optimum
 from repro.offline.heuristics import opt_lower_bound
-
-
-class _CallableFloat(float):
-    """Deprecation shim: a float that still answers the legacy call form.
-
-    ``OptBracket.relative_gap`` used to be a method while its siblings
-    ``midpoint``/``gap`` were properties; it is a property now.  Old
-    callers writing ``bracket.relative_gap()`` receive this float
-    subclass, whose ``__call__`` returns the same value under a
-    :class:`DeprecationWarning` instead of raising ``TypeError``.
-
-    .. deprecated:: 1.0
-        The call form ``bracket.relative_gap()`` will stop working in
-        version 2.0, when this shim class is removed and the property
-        returns a plain ``float``.
-    """
-
-    def __call__(self) -> float:
-        warnings.warn(
-            "OptBracket.relative_gap is now a property; drop the call "
-            "parentheses (the () form will be removed in a future release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return float(self)
 
 
 @dataclass(frozen=True)
@@ -64,7 +38,7 @@ class OptBracket:
     @property
     def relative_gap(self) -> float:
         """Bracket width relative to the upper bound (0 when exact)."""
-        return _CallableFloat(0.0 if self.upper <= 0 else self.gap / self.upper)
+        return 0.0 if self.upper <= 0 else self.gap / self.upper
 
 
 def opt_bracket(

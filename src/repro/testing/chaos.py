@@ -7,7 +7,7 @@ modes a real sweep fleet sees — worker **crashes** (hard process death),
 **corrupted results** — into sweep cells, driven entirely by
 deterministic seeds so every chaotic run is replayable.
 
-The plan is a frozen, picklable dataclass: the resilient runner ships it
+The plan is a frozen, picklable dataclass: the sweep lease loop ships it
 to worker processes, and each worker consults ``fault_for(cell_seed,
 attempt)`` before (or, for corruption, after) evaluating its cell.  Fault
 assignment depends only on ``(plan.seed, cell_seed)``, never on wall
@@ -142,7 +142,7 @@ class ChaosPlan:
     def corrupt_rows(self, rows: list[SweepRow]) -> list[SweepRow]:
         """Mangle a completed cell's rows (non-finite load, negative count).
 
-        The damage is chosen to be *detectable*: the resilient runner's
+        The damage is chosen to be *detectable*: the lease loop's
         row validator must reject these and count the attempt as a
         ``corrupt`` failure rather than journal garbage.
         """
@@ -154,11 +154,11 @@ class ChaosPlan:
 
 @dataclass(frozen=True)
 class WorkerChaosPlan:
-    """Deterministic *worker-level* fault plan for the elastic scheduler.
+    """Deterministic *worker-level* fault plan for local worker links.
 
     Where :class:`ChaosPlan` poisons individual **cells** (the unit of
     retry), this plan poisons **worker slots** (the unit of leasing in
-    :mod:`repro.workloads.elastic`) — the failure modes a heterogeneous
+    :mod:`repro.workloads.remote`) — the failure modes a heterogeneous
     or dying fleet exhibits even when every cell is healthy:
 
     * ``slow_worker`` — the slot sleeps a fixed delay before every cell
@@ -228,7 +228,7 @@ class WorkerChaosPlan:
 
 @dataclass(frozen=True)
 class HostChaosPlan:
-    """Deterministic *network-level* fault plan for the remote scheduler.
+    """Deterministic *network-level* fault plan for remote worker links.
 
     Where :class:`WorkerChaosPlan` poisons worker **slots** on one
     machine, this plan poisons the network **between** the controller

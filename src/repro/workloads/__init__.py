@@ -19,9 +19,8 @@ from repro.workloads.structured import (
     overload_instance,
     adversarial_like_instance,
 )
-from repro.workloads.sweep import SweepSpec, run_sweep, SweepRow, cell_seed_for
+from repro.workloads.sweep import SweepSpec, SweepRow, cell_seed_for
 from repro.workloads.arrivals import batch_arrival_instance, mmpp_instance
-from repro.workloads.parallel import run_sweep_parallel
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
 from repro.workloads.sharding import (
     MergeConflict,
@@ -63,7 +62,6 @@ from repro.workloads.resilient import (
     SweepExecutionError,
     SweepInterrupted,
     WorkerFailure,
-    run_sweep_resilient,
 )
 from repro.workloads.elastic import CellQueue, Lease, SpeculationMismatch
 from repro.workloads.remote import (
@@ -93,9 +91,6 @@ __all__ = [
     "overload_instance",
     "adversarial_like_instance",
     "SweepSpec",
-    "run_sweep",
-    "run_sweep_parallel",
-    "run_sweep_resilient",
     "SweepRow",
     "cell_seed_for",
     "ExecutionPolicy",

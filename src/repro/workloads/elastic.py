@@ -1,86 +1,53 @@
-"""Elastic, pull-based sweep execution: leases, heartbeats, speculation.
+"""The lease queue behind every multiprocess sweep.
 
-The static scheduler in :mod:`repro.workloads.resilient` pushes cells at
-workers (and :class:`~repro.workloads.sharding.ShardPlan` fixes cell->host
-assignment up front), so one slow or dying worker stretches the whole
-sweep — E24 measured a 1.96x straggler ratio that per-cell retries cannot
-fix.  This module inverts the control flow: workers *pull* cells from a
-shared :class:`CellQueue`, and every grant is a **lease** — a revocable
-commitment to a cell that only becomes final when its verified journal
-row lands.  Revocability is what makes the pool elastic:
+Workers *pull* cells from a shared :class:`CellQueue`, and every grant is
+a **lease** — a revocable commitment to a cell that only becomes final
+when its verified journal row lands.  The loop that serves the queue to
+worker processes lives in :mod:`repro.workloads.remote`; this module
+holds its pure state machines, so lease semantics are property-testable
+without processes or clocks:
 
 * **Heartbeats** extend a lease's deadline while the worker computes, so
   a *slow* worker keeps its lease (bounded only by the hard per-cell
   ``timeout``) while a *hung or dead* one — no heartbeats — expires and
-  has its cell re-dispatched to a healthy slot.
-* **Dead-worker detection**: a worker process that exits without a
-  result has its lease released and re-queued immediately, the slot's
-  failure count incremented, and the slot respawned — until its failure
-  budget is spent, at which point the slot is **quarantined** (folded
-  into :class:`~repro.workloads.resilient.FailureManifest` as a
-  :class:`~repro.workloads.resilient.WorkerFailure`) and the pool
-  shrinks.  The pool never drops below one live slot, so a sweep always
-  makes progress.
+  has its cell re-dispatched.
+* **Failure accounting**: a cell fault (error, corrupt rows, hard
+  timeout) spends the cell's retry budget; a worker death re-queues the
+  cell charge-free but is *counted*, so a cell that kills every worker
+  it touches is quarantined as ``crash`` after ``retries + 1`` deaths
+  instead of being re-dispatched forever.
 * **Speculative re-execution**: once the queue runs dry, idle workers
-  re-execute the longest-running outstanding cells (at most one extra
-  copy per cell).  First verified result wins; a duplicate result is
+  re-execute the longest-running outstanding cells (one extra copy per
+  attempt, so copies of a hanging cell cannot keep each other alive
+  forever).  First verified result wins; a duplicate result is
   asserted bit-identical to the winner, so speculation doubles as a live
   determinism check — a mismatch raises :class:`SpeculationMismatch`
   rather than journaling either copy silently.
-* **Adaptive repetitions** (opt-in): repetitions of a grid config are
-  issued incrementally, and once the bootstrap confidence interval of
-  every algorithm's mean accepted load is tight the remaining reps are
-  skipped (counted in ``manifest.cells_skipped``) instead of executed.
+* **Adaptive repetitions** (opt-in, :class:`_AdaptiveReps`): repetitions
+  of a grid config are issued incrementally, and once the bootstrap
+  confidence interval of every algorithm's mean accepted load is tight
+  the remaining reps are skipped (counted in ``manifest.cells_skipped``).
 
 Determinism is unchanged: cells draw their instances from
 :meth:`SweepSpec.cell_seed`, so re-dispatch, speculation and worker death
-cannot alter the data — an elastic chaos run merges bit-identical to the
-serial scalar run.  Lease/heartbeat provenance rides on journal rows
-*outside* the row CRC (see :mod:`repro.workloads.journal`).
+cannot alter the data.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
 
-import multiprocessing as mp
-
-from repro.offline.cache import BracketCache, CacheStats
-from repro.workloads.resilient import (
-    CellFailure,
-    FailureManifest,
-    ResilientSweepResult,
-    SweepInterrupted,
-    WorkerFailure,
-    _assemble,
-    _terminate,
-    _terminate_all,
-    check_seed_collisions,
-    prepare_journal,
-    run_cell,
-    run_cells,
-    validate_cell_rows,
-    validate_sweep_pickles,
-)
+from repro.workloads.resilient import CellFailure
 from repro.workloads.sweep import SweepRow, SweepSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testing.chaos import ChaosPlan, WorkerChaosPlan
-
-#: Scheduler poll cadence (seconds) — bounds dispatch/reap latency.
-_POLL_INTERVAL = 0.005
 
 #: Default heartbeat cadence (seconds) inside a worker.
 DEFAULT_HEARTBEAT_INTERVAL = 0.1
 
 #: Lease deadline as a multiple of the heartbeat interval.  A lease must
 #: survive several consecutive lost heartbeats before it is presumed dead
-#: — one delayed scheduler poll must not trigger a spurious revocation.
+#: — one delayed scheduler pass must not trigger a spurious revocation.
 LEASE_TIMEOUT_BEATS = 10
 
 
@@ -108,7 +75,8 @@ class Lease:
     m: int
     rep: int
     seed: int
-    worker: int
+    #: the lease key: a worker slot, or one member of a group lease.
+    worker: Hashable
     attempt: int  # 1-based
     granted_at: float
     #: soft deadline, extended by every heartbeat; expiry = presumed dead.
@@ -119,6 +87,8 @@ class Lease:
     #: an end-game duplicate of an outstanding lease, not a fresh attempt.
     speculative: bool = False
     history: tuple[str, ...] = ()
+    #: worker deaths this cell has caused so far (see :meth:`CellQueue.release`).
+    deaths: int = 0
 
 
 @dataclass
@@ -129,6 +99,7 @@ class _PendingCell:
     seed: int
     attempt: int  # next attempt number (1-based)
     history: tuple[str, ...] = ()
+    deaths: int = 0
 
 
 class CellQueue:
@@ -174,7 +145,7 @@ class CellQueue:
             _PendingCell(eps, m, rep, seed, attempt=1) for eps, m, rep, seed in cells
         )
         #: one lease per worker slot currently holding one.
-        self.leases: dict[int, Lease] = {}
+        self.leases: dict[Hashable, Lease] = {}
         self.completed: dict[int, list[SweepRow]] = {}
         self.failures: list[CellFailure] = []
         #: seeds not yet completed or quarantined.
@@ -183,6 +154,8 @@ class CellQueue:
         self.granted = 0
         #: speculative leases granted (stats).
         self.speculated = 0
+        #: ``(seed, attempt)`` pairs already copied once.
+        self._copied: set[tuple[int, int]] = set()
 
     # -- queries -------------------------------------------------------
 
@@ -209,7 +182,7 @@ class CellQueue:
 
     # -- transitions ---------------------------------------------------
 
-    def next_lease(self, worker: int, now: float) -> Lease | None:
+    def next_lease(self, worker: Hashable, now: float) -> Lease | None:
         """Grant the next cell (or an end-game speculative copy) to *worker*.
 
         Returns ``None`` when there is nothing to grant — the worker goes
@@ -237,14 +210,16 @@ class CellQueue:
             hard_deadline=None if self.timeout is None else now + self.timeout,
             speculative=speculative,
             history=task.history,
+            deaths=task.deaths,
         )
         self.leases[worker] = lease
         self.granted += 1
         if speculative:
             self.speculated += 1
+            self._copied.add((lease.seed, lease.attempt))
         return lease
 
-    def _speculation_target(self, worker: int) -> _PendingCell | None:
+    def _speculation_target(self, worker: Hashable) -> _PendingCell | None:
         """End-game: duplicate the longest-outstanding under-copied cell."""
         if not self.speculate:
             return None
@@ -252,6 +227,7 @@ class CellQueue:
             lease
             for lease in self.leases.values()
             if lease.seed in self.remaining
+            and (lease.seed, lease.attempt) not in self._copied
             and len(self.outstanding(lease.seed)) < self.max_copies
         ]
         if not candidates:
@@ -264,9 +240,10 @@ class CellQueue:
             target.seed,
             attempt=target.attempt,
             history=target.history,
+            deaths=target.deaths,
         )
 
-    def heartbeat(self, worker: int, now: float) -> bool:
+    def heartbeat(self, worker: Hashable, now: float) -> bool:
         """Extend *worker*'s lease deadline; ``False`` if it holds none.
 
         Heartbeats only push the *soft* deadline — the hard per-cell
@@ -282,16 +259,22 @@ class CellQueue:
 
     def release(
         self,
-        worker: int,
+        worker: Hashable,
         detail: str,
         *,
         charge_cell: bool = True,
+        died: bool = False,
     ) -> Lease | None:
         """Revoke *worker*'s lease after a failure; re-queue or quarantine.
 
-        ``charge_cell=False`` (worker death, lease expiry) re-queues the
-        cell without spending its retry budget — the *worker* is at
-        fault, and the caller charges the slot instead.  With other
+        ``charge_cell=True`` (error, corrupt rows, hard timeout) spends
+        the cell's retry budget.  ``charge_cell=False`` (lease expiry, a
+        demoted group lease) re-queues the cell without charge — the
+        *worker* is at fault, and the caller charges it instead.
+        ``died=True`` (the worker process died holding the lease) is
+        charge-free too, but the death is counted: after ``retries + 1``
+        deaths the cell is quarantined as ``crash``, so a cell that kills
+        every worker it touches cannot livelock the sweep.  With other
         copies still outstanding, or the cell already completed, nothing
         is re-queued.  Returns the revoked lease (``None`` if the worker
         held none).
@@ -302,15 +285,21 @@ class CellQueue:
         if lease.seed not in self.remaining or self.outstanding(lease.seed):
             return lease  # completed meanwhile, or another copy is running
         history = lease.history + (f"{detail}",)
-        if not charge_cell or lease.attempt <= self.retries:
+        deaths = lease.deaths + died
+        if died:
+            spent = deaths > self.retries
+        else:
+            spent = charge_cell and lease.attempt - lease.deaths > self.retries
+        if not spent:
             self.pending.append(
                 _PendingCell(
                     lease.eps,
                     lease.m,
                     lease.rep,
                     lease.seed,
-                    attempt=lease.attempt + (1 if charge_cell else 0),
+                    attempt=lease.attempt + (1 if charge_cell or died else 0),
                     history=history,
+                    deaths=deaths,
                 )
             )
         else:
@@ -330,7 +319,7 @@ class CellQueue:
         return lease
 
     def complete(
-        self, worker: int, seed: int, rows: list[SweepRow]
+        self, worker: Hashable, seed: int, rows: list[SweepRow]
     ) -> tuple[str, Lease | None]:
         """Accept a result; returns ``(outcome, lease)``.
 
@@ -366,153 +355,6 @@ class CellQueue:
         for eps, m, rep, seed in cells:
             self.pending.append(_PendingCell(eps, m, rep, seed, attempt=1))
             self.remaining.add(seed)
-
-
-# ---------------------------------------------------------------------------
-# worker process
-# ---------------------------------------------------------------------------
-
-
-def _heartbeat_loop(conn, lock, slot: int, seed: int, interval: float, stop) -> None:
-    """Worker-side heartbeat thread: one beat per *interval* until stopped."""
-    while not stop.wait(interval):
-        try:
-            with lock:
-                conn.send(("heartbeat", slot, seed))
-        except (OSError, ValueError):  # pragma: no cover - parent went away
-            return
-
-
-def _elastic_worker(
-    conn,
-    slot: int,
-    spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    backend: str,
-    chaos: "ChaosPlan | None",
-    worker_chaos: "WorkerChaosPlan | None",
-    heartbeat_interval: float,
-    cache: BracketCache | None,
-) -> None:
-    """Pull-loop worker: ready -> lease -> heartbeats -> result, repeat.
-
-    Protocol (worker -> parent, all sends serialised by a lock because a
-    ``Connection`` is not thread-safe against the heartbeat thread):
-
-    * ``("ready", slot)`` — idle, asking for a lease;
-    * ``("heartbeat", slot, seed)`` — still computing *seed*;
-    * ``("result", slot, seed, rows, cache_delta)`` — verified rows plus
-      the bracket-cache counter *delta* since the previous result;
-    * ``("error", slot, seed, detail)`` — the cell raised.
-
-    Parent -> worker: ``("run", (eps, m, rep, seed), attempt)`` or
-    ``("stop",)``.  Worker-level chaos (:class:`WorkerChaosPlan`) is
-    applied here: injected slowness sleeps *inside* the heartbeat window
-    (a slow worker is alive), injected death is a hard ``os._exit``, and
-    suppressed heartbeats skip the thread entirely (hang-alike).
-    """
-    lock = threading.Lock()
-    nth_cell = 0
-    prev_cache: dict[str, Any] | None = None
-    try:
-        while True:
-            with lock:
-                conn.send(("ready", slot))
-            message = conn.recv()
-            if message[0] == "stop":
-                return
-            _, (eps, m, rep, seed), attempt = message
-            nth_cell += 1
-            if worker_chaos is not None and worker_chaos.dies_on_cell(slot, nth_cell):
-                from repro.testing.chaos import CHAOS_EXIT_CODE
-
-                os._exit(CHAOS_EXIT_CODE)
-            stop_beats = threading.Event()
-            beats = None
-            if worker_chaos is None or not worker_chaos.suppresses_heartbeat(slot):
-                beats = threading.Thread(
-                    target=_heartbeat_loop,
-                    args=(conn, lock, slot, seed, heartbeat_interval, stop_beats),
-                    daemon=True,
-                )
-                beats.start()
-            try:
-                if worker_chaos is not None:
-                    delay = worker_chaos.delay_for(slot)
-                    if delay:
-                        time.sleep(delay)  # slow host: heartbeats keep flowing
-                fault = None
-                if chaos is not None:
-                    fault = chaos.fault_for(seed, attempt)
-                    chaos.trigger(fault)  # may _exit, hang, or raise
-                if backend == "scalar":
-                    rows = run_cell(spec, eps, m, rep, algorithm_kwargs, cache)
-                else:
-                    rows = run_cells(
-                        spec, [(eps, m, rep)], algorithm_kwargs, cache, backend=backend
-                    )[0]
-                if fault == "corrupt":
-                    rows = chaos.corrupt_rows(rows)
-                delta = None
-                if cache is not None:
-                    current = cache.stats.as_dict()
-                    delta = {
-                        key: current[key] - (prev_cache or {}).get(key, 0)
-                        for key in current
-                        if isinstance(current[key], int)
-                    }
-                    prev_cache = current
-                stop_beats.set()
-                if beats is not None:
-                    beats.join()
-                with lock:
-                    conn.send(("result", slot, seed, rows, delta))
-                if worker_chaos is not None and worker_chaos.duplicates_result(slot):
-                    with lock:
-                        conn.send(("result", slot, seed, rows, None))
-            except BaseException as exc:  # noqa: BLE001 - crosses the process boundary
-                stop_beats.set()
-                if beats is not None:
-                    beats.join()
-                with lock:
-                    conn.send(("error", slot, seed, f"{type(exc).__name__}: {exc}"))
-            finally:
-                stop_beats.set()
-    except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover - teardown races
-        pass
-    finally:
-        conn.close()
-
-
-# ---------------------------------------------------------------------------
-# parent-side worker slots
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Slot:
-    """Parent-side view of one worker slot across process generations."""
-
-    slot: int
-    process: mp.process.BaseProcess | None = None
-    conn: Any = None
-    generation: int = 0
-    failures: int = 0
-    history: tuple[str, ...] = ()
-    quarantined: bool = False
-    stopping: bool = False
-    #: slot is blocked in recv waiting for a lease offer.
-    idle: bool = False
-    started_at: float = 0.0
-    last_activity: float = 0.0
-    cells_done: int = 0
-
-    @property
-    def live(self) -> bool:
-        return self.process is not None and not self.quarantined
-
-    def wall_seconds(self) -> float:
-        return max(0.0, self.last_activity - self.started_at)
 
 
 # ---------------------------------------------------------------------------
@@ -612,379 +454,6 @@ class _AdaptiveReps:
             if ci.halfwidth / abs(ci.mean) > self.rel_tol:
                 return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# the elastic scheduler
-# ---------------------------------------------------------------------------
-
-
-def _execute_elastic(
-    spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]] | None = None,
-    *,
-    max_workers: int | None = None,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    journal_path: str | os.PathLike[str] | None = None,
-    resume: bool = False,
-    chaos: "ChaosPlan | None" = None,
-    worker_chaos: "WorkerChaosPlan | None" = None,
-    interrupt_after: int | None = None,
-    cache: BracketCache | None = None,
-    cells: list[tuple[float, int, int]] | None = None,
-    shard: tuple[int, int] | None = None,
-    salvage: bool = False,
-    backend: str = "scalar",
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    lease_timeout: float | None = None,
-    speculate: bool = True,
-    adaptive_reps: bool = False,
-    adaptive_min_reps: int = 2,
-    adaptive_rel_tol: float = 0.01,
-    worker_max_failures: int = 3,
-) -> ResilientSweepResult:
-    """Pull-scheduler core behind ``ExecutionPolicy(elastic=True)``.
-
-    Shares journal preparation, seed-collision checks, row validation and
-    result assembly with the static scheduler, so resumes, salvage,
-    sharding (the queue simply serves this shard's cells) and the result
-    contract are identical.  Differences from the push path:
-
-    * workers are persistent pull-loop processes (one per slot), not one
-      process per cell — a slot only respawns after a failure;
-    * lease expiry (missed heartbeats) and worker death charge the *slot*
-      (``worker_max_failures`` per slot before quarantine), re-queueing
-      the cell without spending its retry budget;
-    * cell-level failures (error / corrupt / hard timeout) charge the
-      cell's retry budget exactly as the static scheduler does;
-    * with ``speculate``, the end-game duplicates straggler cells and the
-      first verified result wins (duplicates asserted bit-identical);
-    * with ``adaptive_reps``, repetitions are issued lazily and skipped
-      once the bootstrap CI of the mean accepted load is tight.
-    """
-    algorithm_kwargs = algorithm_kwargs or {}
-    validate_sweep_pickles(spec, algorithm_kwargs)
-    if lease_timeout is None:
-        lease_timeout = LEASE_TIMEOUT_BEATS * heartbeat_interval
-
-    cells = list(spec.cells()) if cells is None else list(cells)
-    check_seed_collisions(spec, cells)
-    manifest = FailureManifest(cells_total=len(cells))
-    journal, completed = prepare_journal(
-        spec, cells, journal_path, resume=resume, shard=shard, salvage=salvage
-    )
-    manifest.cells_replayed = len(completed)
-
-    adaptive: _AdaptiveReps | None = None
-    if adaptive_reps:
-        adaptive = _AdaptiveReps(
-            spec, cells, min_reps=adaptive_min_reps, rel_tol=adaptive_rel_tol
-        )
-        todo = adaptive.initial_cells(completed)
-    else:
-        todo = [cell for cell in cells if spec.cell_seed(*cell) not in completed]
-    queue = CellQueue(
-        [(eps, m, rep, spec.cell_seed(eps, m, rep)) for eps, m, rep in todo],
-        retries=max_retries,
-        lease_timeout=lease_timeout,
-        timeout=timeout,
-        speculate=speculate,
-    )
-
-    cell_by_seed = {spec.cell_seed(eps, m, rep): (eps, m, rep) for eps, m, rep in cells}
-    workers = max_workers or min(len(todo) or 1, os.cpu_count() or 2)
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    slots = [_Slot(slot=i) for i in range(workers)]
-    cache_totals = CacheStats() if cache is not None else None
-    new_cells = 0
-    heartbeats_total = 0
-    started = time.monotonic()
-
-    def spawn(entry: _Slot) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        entry.generation += 1
-        process = ctx.Process(
-            target=_elastic_worker,
-            args=(
-                child_conn,
-                entry.slot,
-                spec,
-                algorithm_kwargs,
-                backend,
-                chaos,
-                worker_chaos,
-                heartbeat_interval,
-                cache,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        now = time.monotonic()
-        entry.process = process
-        entry.conn = parent_conn
-        entry.idle = False
-        entry.stopping = False
-        if entry.started_at == 0.0:
-            entry.started_at = now
-        entry.last_activity = now
-
-    def live_slots() -> list[_Slot]:
-        return [entry for entry in slots if entry.live]
-
-    def worker_fault(entry: _Slot, detail: str) -> None:
-        """Charge a slot failure; respawn or quarantine (pool floor of 1)."""
-        entry.failures += 1
-        entry.history = entry.history + (detail,)
-        if entry.conn is not None:
-            entry.conn.close()
-        entry.process = None
-        entry.conn = None
-        entry.idle = False
-        if entry.failures > worker_max_failures and len(live_slots()) >= 1:
-            entry.quarantined = True
-            manifest.worker_failures.append(
-                WorkerFailure(
-                    slot=entry.slot,
-                    failures=entry.failures,
-                    detail=detail,
-                    history=entry.history,
-                )
-            )
-        else:
-            spawn(entry)
-
-    def record_win(lease: Lease, rows: list[SweepRow]) -> None:
-        nonlocal new_cells
-        queue_seed = lease.seed
-        manifest.cells_completed += 1
-        if lease.attempt > 1 or lease.history:
-            manifest.recovered += 1
-        completed[queue_seed] = rows
-        if journal is not None:
-            journal.record_cell(
-                queue_seed,
-                lease.eps,
-                lease.m,
-                lease.rep,
-                rows,
-                provenance={
-                    "worker": lease.worker,
-                    "attempt": lease.attempt,
-                    "heartbeats": lease.heartbeats,
-                    "lease_ms": round((time.monotonic() - lease.granted_at) * 1e3, 3),
-                    "speculative": lease.speculative,
-                },
-            )
-        new_cells += 1
-        if adaptive is not None:
-            fresh = adaptive.on_win(lease.eps, lease.m, lease.rep, rows)
-            if fresh:
-                queue.add_cells(
-                    [(e, mm, r, spec.cell_seed(e, mm, r)) for e, mm, r in fresh]
-                )
-        if (
-            interrupt_after is not None
-            and new_cells >= interrupt_after
-            and not queue.done
-        ):
-            raise KeyboardInterrupt  # simulated hard kill, same path as SIGINT
-
-    def cell_fault(entry: _Slot, detail: str) -> None:
-        """Charge the cell's retry budget (error / corrupt / timeout)."""
-        pending_before = len(queue.pending)
-        failures_before = len(queue.failures)
-        queue.release(entry.slot, detail, charge_cell=True)
-        if len(queue.pending) > pending_before:
-            manifest.retries += 1
-        for failure in queue.failures[failures_before:]:
-            manifest.failures.append(failure)
-            if journal is not None:
-                journal.record_failure(failure.as_dict())
-
-    def journal_stats(interrupted: bool) -> None:
-        if journal is None:
-            return
-        journal.record_stats(
-            {
-                "wall_seconds": round(time.monotonic() - started, 6),
-                "interrupted": interrupted,
-                "scheduler": "elastic",
-                "workers": workers,
-                "worker_wall_seconds": [
-                    round(entry.wall_seconds(), 6) for entry in slots
-                ],
-                "worker_cells": [entry.cells_done for entry in slots],
-                "leases": queue.granted,
-                "heartbeats": heartbeats_total,
-                "speculated": queue.speculated,
-                "cells_completed": manifest.cells_completed,
-                "cells_replayed": manifest.cells_replayed,
-                "cells_skipped": manifest.cells_skipped,
-                "recovered": manifest.recovered,
-                "retries": manifest.retries,
-                "quarantined": manifest.quarantined,
-                "workers_quarantined": manifest.workers_quarantined,
-                "cache": None if cache_totals is None else cache_totals.as_dict(),
-            }
-        )
-
-    def all_processes() -> list[mp.process.BaseProcess]:
-        return [entry.process for entry in slots if entry.process is not None]
-
-    for entry in slots:
-        spawn(entry)
-
-    try:
-        while not queue.done:
-            now = time.monotonic()
-            progressed = False
-            for entry in slots:
-                if not entry.live:
-                    continue
-                # Drain every queued message from this slot.
-                while entry.conn.poll():
-                    try:
-                        message = entry.conn.recv()
-                    except (EOFError, OSError):
-                        break
-                    progressed = True
-                    entry.last_activity = time.monotonic()
-                    kind = message[0]
-                    if kind == "ready":
-                        entry.idle = True
-                    elif kind == "heartbeat":
-                        heartbeats_total += 1
-                        queue.heartbeat(entry.slot, time.monotonic())
-                    elif kind == "result":
-                        _, _, seed, rows, cache_delta = message
-                        cell = cell_by_seed.get(seed)
-                        problem = (
-                            "unknown cell seed"
-                            if cell is None
-                            else validate_cell_rows(spec, *cell, rows)
-                        )
-                        if problem is not None:
-                            lease = queue.leases.get(entry.slot)
-                            if lease is not None and lease.seed == seed:
-                                cell_fault(entry, f"corrupt: {problem}")
-                            continue  # corrupt stale/duplicate copies just drop
-                        outcome, lease = queue.complete(entry.slot, seed, rows)
-                        if cache_totals is not None and cache_delta:
-                            cache_totals.merge(cache_delta)
-                        if outcome == "win":
-                            entry.cells_done += 1
-                            record_win(lease, rows)
-                    elif kind == "error":
-                        _, _, seed, detail = message
-                        cell_fault(entry, f"error: {detail}")
-                if not entry.live:
-                    continue
-                # Exited without a message left in the pipe: the slot died.
-                if not entry.process.is_alive():
-                    code = entry.process.exitcode
-                    entry.process.join()
-                    queue.release(
-                        entry.slot,
-                        f"crash: worker process died with exit code {code}",
-                        charge_cell=False,
-                    )
-                    worker_fault(entry, f"crash: exit code {code}")
-                    progressed = True
-                    continue
-                # Grant work to an idle slot (or stop it when nothing is left).
-                if entry.idle and entry.slot not in queue.leases:
-                    lease = queue.next_lease(entry.slot, time.monotonic())
-                    if lease is not None:
-                        entry.idle = False
-                        entry.conn.send(
-                            (
-                                "run",
-                                (lease.eps, lease.m, lease.rep, lease.seed),
-                                lease.attempt,
-                            )
-                        )
-                        progressed = True
-
-            now = time.monotonic()
-            # Hard per-cell timeout: the cell is charged, like the static path.
-            for lease in queue.overdue(now):
-                entry = slots[lease.worker]
-                cell_fault(
-                    entry, "timeout: cell exceeded its timeout; worker terminated"
-                )
-                if entry.process is not None:
-                    _terminate(entry.process)
-                    entry.conn.close()
-                    entry.process = None
-                    entry.conn = None
-                    spawn(entry)
-            # Soft lease expiry: missed heartbeats — the *slot* is charged.
-            for lease in queue.expired(now):
-                if lease.worker not in queue.leases:
-                    continue  # already handled above this tick
-                entry = slots[lease.worker]
-                queue.release(
-                    entry.slot,
-                    "expired: lease deadline passed without a heartbeat",
-                    charge_cell=False,
-                )
-                if entry.process is not None:
-                    _terminate(entry.process)
-                worker_fault(entry, "expired: missed heartbeats")
-
-            if not progressed:
-                time.sleep(_POLL_INTERVAL)
-
-        # Drained: stop idle workers gracefully, cut stragglers loose
-        # (in-flight speculative losers — their rows are already accepted).
-        for entry in slots:
-            if entry.process is None:
-                continue
-            if entry.idle:
-                try:
-                    entry.conn.send(("stop",))
-                except (OSError, BrokenPipeError):  # pragma: no cover
-                    pass
-        deadline = time.monotonic() + 1.0
-        for entry in slots:
-            if entry.process is not None and entry.idle:
-                entry.process.join(max(0.0, deadline - time.monotonic()))
-        _terminate_all([p for p in all_processes() if p.is_alive()])
-        for entry in slots:
-            if entry.conn is not None:
-                entry.conn.close()
-
-        manifest.cells_completed = len(completed) - manifest.cells_replayed
-        manifest.speculated = queue.speculated
-        if adaptive is not None:
-            manifest.cells_skipped = adaptive.skipped
-        journal_stats(interrupted=False)
-        if journal is not None:
-            journal.record_seal()
-    except KeyboardInterrupt:
-        _terminate_all(all_processes())
-        for entry in slots:
-            if entry.conn is not None:
-                entry.conn.close()
-        manifest.speculated = queue.speculated
-        if adaptive is not None:
-            manifest.cells_skipped = adaptive.skipped
-        journal_stats(interrupted=True)
-        partial = _assemble(spec, cells, completed, manifest, journal, cache_totals)
-        raise SweepInterrupted(partial) from None
-    except BaseException:
-        _terminate_all(all_processes())
-        for entry in slots:
-            if entry.conn is not None:
-                entry.conn.close()
-        raise
-    finally:
-        if journal is not None:
-            journal.close()
-
-    return _assemble(spec, cells, completed, manifest, journal, cache_totals)
 
 
 __all__ = [

@@ -1,34 +1,31 @@
 """Unified sweep execution: one entrypoint, one policy object.
 
-The sweep surface historically grew three overlapping entrypoints —
-``run_sweep`` (serial), ``run_sweep_parallel`` (strict multiprocess) and
-``run_sweep_resilient`` (fault-tolerant, journaled) — each with its own
-drifting keyword set.  :func:`execute_sweep` replaces all three behind a
-single contract:
+:func:`execute_sweep` runs every sweep under one contract:
 
 * **what** to run is the :class:`~repro.workloads.sweep.SweepSpec`;
 * **how** to run it is the :class:`ExecutionPolicy`, a frozen dataclass
-  unifying the scattered kwargs (workers, timeout, retries, journal,
-  resume, cache, shards, …);
+  holding every execution knob (workers, timeout, retries, journal,
+  resume, cache, shards, hosts, …);
 * the result is always a
   :class:`~repro.workloads.resilient.ResilientSweepResult` — rows in
   canonical grid order, a :class:`~repro.workloads.resilient.FailureManifest`
   and merged bracket-cache counters — whichever path executed.
 
-Determinism is policy-independent: every cell draws its instance from
-:func:`repro.workloads.sweep.cell_seed_for`, so the serial path, the
-multiprocess path and any shard of a multi-host run produce bit-identical
-rows for the same spec.  The legacy entrypoints remain as thin shims that
-build a policy and emit ``DeprecationWarning``.
+There are two paths: the serial in-process fast path, and the lease loop
+of :mod:`repro.workloads.remote`, which serves cells to local worker
+processes or to remote hosts.  Determinism is policy-independent: every
+cell draws its instance from :func:`repro.workloads.sweep.cell_seed_for`,
+so both paths and any shard of a multi-host run produce bit-identical
+rows for the same spec.
 
 Examples
 --------
 
-Serial, in-process (the old ``run_sweep``)::
+Serial, in-process::
 
     result = execute_sweep(spec)
 
-Fault-tolerant production run (the old ``run_sweep_resilient``)::
+Fault-tolerant production run::
 
     policy = ExecutionPolicy(workers=8, timeout=120.0, retries=2,
                              journal="sweep.jsonl")
@@ -53,7 +50,6 @@ from repro.workloads.resilient import (
     FailureManifest,
     ResilientSweepResult,
     SweepExecutionError,
-    _execute_resilient,
     run_cells,
 )
 from repro.workloads.sweep import SweepSpec
@@ -67,25 +63,23 @@ class ExecutionPolicy:
     """How a sweep runs: every execution knob in one frozen value object.
 
     The default policy is the serial in-process path (cheapest for small
-    grids and interactive use).  Setting any multiprocess-only field —
-    ``parallel``, ``workers``, ``timeout``, ``journal``, ``resume``,
-    ``shards`` (> 1), ``chaos`` or ``interrupt_after`` — routes execution
-    through the fault-tolerant scheduler (fresh worker processes,
-    retries, quarantine, checkpoint journal).  ``retries``/``backoff``
-    only apply on that path.
+    grids and interactive use).  Setting any multiprocess field —
+    ``workers``, ``timeout``, ``journal``, ``resume``, ``shards`` (> 1),
+    ``hosts``, ``chaos`` or ``interrupt_after`` — routes execution through
+    the lease loop (:mod:`repro.workloads.remote`: worker processes,
+    heartbeats, retries, quarantine, checkpoint journal).  The scheduling
+    fields below ``backend`` only apply on that path, and
+    ``adaptive_reps`` and ``worker_chaos`` require it.
     """
 
-    #: Force the fault-tolerant multiprocess scheduler even with defaults
-    #: elsewhere (implied by workers/timeout/journal/resume/shards/chaos).
-    parallel: bool = False
-    #: Worker process count; ``None`` sizes to the pending cells / CPUs.
+    #: Local worker process count; ``None`` sizes to the pending cells /
+    #: CPUs.  With ``hosts``: the local-fallback pool size.
     workers: int | None = None
     #: Per-cell wall-clock budget in seconds; hung workers are terminated.
     timeout: float | None = None
-    #: Extra attempts per failed cell, each in a fresh process.
+    #: Extra attempts per failed cell; a cell is also quarantined as
+    #: ``crash`` after ``retries + 1`` worker deaths.
     retries: int = 2
-    #: Base retry delay in seconds, doubled per attempt.
-    backoff: float = 0.25
     #: Append-only JSONL checkpoint journal path (None = no journal).
     journal: str | os.PathLike[str] | None = None
     #: Replay completed cells from ``journal`` and run only the remainder.
@@ -115,52 +109,39 @@ class ExecutionPolicy:
     #: fallback for unsupported algorithms).  See
     #: :mod:`repro.engine.backend` and ``docs/engine_backends.md``.
     backend: str = "auto"
-    #: Run the immediate-model batch kernels through the optional
-    #: numba-jitted inner loop (:mod:`repro.engine.jit`): exports
-    #: ``REPRO_NUMBA=1`` for the duration of the sweep so worker
-    #: processes inherit it.  Falls back loudly
-    #: (:class:`~repro.engine.backend.BackendFallbackWarning`) when numba
-    #: is not installed — results are identical either way.
-    jit: bool = False
-    #: Pull-based elastic scheduler (:mod:`repro.workloads.elastic`):
-    #: persistent workers lease cells from a shared queue, heartbeats
-    #: separate slow workers from hung ones, dead workers are respawned
-    #: (then quarantined) and their leases re-dispatched.
-    elastic: bool = False
-    #: With ``elastic``: speculatively re-execute straggler cells once
-    #: the queue runs dry (first verified result wins; duplicates are
-    #: asserted bit-identical).
+    #: Speculatively re-execute straggler cells once the queue runs dry
+    #: (first verified result wins; duplicates are asserted bit-identical).
+    #: Group leases, granted with a batching backend, are never copied.
     speculate: bool = True
-    #: With ``elastic``: issue repetitions lazily and skip the remainder
-    #: of a grid config once the bootstrap CI of every algorithm's mean
-    #: accepted load is tight (see ``adaptive_rel_tol``).
+    #: Issue repetitions lazily and skip the remainder of a grid config
+    #: once the bootstrap CI of every algorithm's mean accepted load is
+    #: tight (see ``adaptive_rel_tol``).
     adaptive_reps: bool = False
     #: Repetitions always executed per config before the CI is consulted.
     adaptive_min_reps: int = 2
     #: Relative CI halfwidth below which remaining reps are skipped.
     adaptive_rel_tol: float = 0.01
-    #: Worker heartbeat cadence in seconds (elastic only).
+    #: Worker heartbeat cadence in seconds.
     heartbeat_interval: float = 0.1
     #: Lease deadline in seconds; a lease whose worker misses heartbeats
     #: for this long is presumed dead and re-dispatched.  ``None`` uses
     #: 10x ``heartbeat_interval``.
     lease_timeout: float | None = None
-    #: Worker-slot failures tolerated before the slot is quarantined.
+    #: Local worker-slot failures tolerated before the slot is quarantined.
     worker_max_failures: int = 3
-    #: Worker-level fault-injection plan (tests only; implies elastic).
+    #: Local worker-slot fault-injection plan (tests only).
     worker_chaos: "WorkerChaosPlan | None" = None
-    #: Remote elastic execution (:mod:`repro.workloads.remote`): a
-    #: ``hosts.json`` registry path or a tuple of
-    #: :class:`~repro.workloads.remote.HostSpec` entries.  The sweep's
-    #: lease queue is served to worker processes on these hosts over the
-    #: wire protocol (handshake-verified, CRC'd, seq-deduped).
+    #: Remote execution: a ``hosts.json`` registry path or a tuple of
+    #: :class:`~repro.workloads.remote.HostSpec` entries.  The lease queue
+    #: is served to worker processes on these hosts instead of local
+    #: ones (handshake-verified, CRC'd, seq-deduped).
     hosts: Any = None
     #: Network-level fault-injection plan (tests only; requires hosts).
     host_chaos: "HostChaosPlan | None" = None
     #: Host failures (channel EOF, handshake timeout, protocol garbage)
     #: tolerated per host before the whole host is quarantined.
     host_max_failures: int = 2
-    #: Seconds a freshly launched remote worker has to say ``hello``.
+    #: Seconds a freshly started worker has to say ``hello``.
     handshake_timeout: float = 30.0
     #: When every remote host is quarantined, finish the sweep on local
     #: fallback workers (recorded as ``manifest.degraded_to_local``)
@@ -189,8 +170,6 @@ class ExecutionPolicy:
             raise ValueError("salvage=True requires resume=True")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.timeout is not None and self.timeout <= 0:
@@ -220,11 +199,13 @@ class ExecutionPolicy:
             raise ValueError(
                 f"adaptive_rel_tol must be positive, got {self.adaptive_rel_tol}"
             )
-        if not self.elastic:
-            if self.adaptive_reps:
-                raise ValueError("adaptive_reps=True requires elastic=True")
-            if self.worker_chaos is not None:
-                raise ValueError("worker_chaos requires elastic=True")
+        if not self.needs_processes:
+            for name in ("adaptive_reps", "worker_chaos"):
+                if getattr(self, name) not in (False, None):
+                    raise ValueError(
+                        f"{name} applies to worker processes: set workers, "
+                        "journal, hosts or another multiprocess field"
+                    )
         if self.host_max_failures < 1:
             raise ValueError(
                 f"host_max_failures must be >= 1, got {self.host_max_failures}"
@@ -238,7 +219,7 @@ class ExecutionPolicy:
                 raise ValueError("host_chaos requires hosts")
         else:
             if self.worker_chaos is not None:
-                raise ValueError("worker_chaos is slot-level (local elastic); "
+                raise ValueError("worker_chaos targets local worker slots; "
                                  "use host_chaos with hosts")
             if self.adaptive_reps:
                 raise ValueError("adaptive_reps is not supported with hosts")
@@ -252,11 +233,9 @@ class ExecutionPolicy:
 
     @property
     def needs_processes(self) -> bool:
-        """True when any field demands the fault-tolerant scheduler."""
+        """True when any field demands worker processes (the lease loop)."""
         return (
-            self.parallel
-            or self.elastic
-            or self.hosts is not None
+            self.hosts is not None
             or self.workers is not None
             or self.timeout is not None
             or self.journal is not None
@@ -313,9 +292,9 @@ def execute_sweep(
 ) -> ResilientSweepResult:
     """Execute *spec* under *policy*; the single sweep entrypoint.
 
-    Dispatches between the serial in-process path and the fault-tolerant
-    multiprocess scheduler based on the policy (see
-    :class:`ExecutionPolicy`), restricting to the policy's shard when
+    Runs the serial in-process path, or — when the policy needs worker
+    processes (see :class:`ExecutionPolicy`) — the lease loop of
+    :mod:`repro.workloads.remote`, restricted to the policy's shard when
     ``shards > 1``.  Rows are bit-identical across paths for the same
     spec — the choice of policy is purely operational.
 
@@ -326,43 +305,9 @@ def execute_sweep(
     policy = policy if policy is not None else ExecutionPolicy()
     algorithm_kwargs = algorithm_kwargs or {}
     cache = policy.resolve_cache()
-    if policy.jit:
-        from repro.engine import jit as _jit
-
-        if not _jit.numba_available():
-            import warnings
-
-            from repro.engine.backend import BackendFallbackWarning
-
-            warnings.warn(
-                BackendFallbackWarning(
-                    "ExecutionPolicy(jit=True) requests the numba-jitted "
-                    "batch kernel but numba is not installed; the sweep "
-                    "runs on the NumPy kernel instead (results are "
-                    "identical, throughput is not)"
-                ),
-                stacklevel=2,
-            )
-        prior = os.environ.get(_jit.JIT_ENV)
-        os.environ[_jit.JIT_ENV] = "1"
-        try:
-            return _execute_with_policy(spec, policy, algorithm_kwargs, cache)
-        finally:
-            if prior is None:
-                os.environ.pop(_jit.JIT_ENV, None)
-            else:
-                os.environ[_jit.JIT_ENV] = prior
-    return _execute_with_policy(spec, policy, algorithm_kwargs, cache)
-
-
-def _execute_with_policy(
-    spec: SweepSpec,
-    policy: ExecutionPolicy,
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    cache: BracketCache | None,
-) -> ResilientSweepResult:
-    """The policy dispatch body of :func:`execute_sweep` (post jit setup)."""
     if policy.needs_processes:
+        from repro.workloads.remote import run_lease_loop
+
         cells = None
         shard = None
         if policy.sharded:
@@ -371,78 +316,7 @@ def _execute_with_policy(
             plan = ShardPlan.build(spec, policy.shards)
             cells = plan.cells_for(policy.shard_index)
             shard = (policy.shard_index, policy.shards)
-        if policy.hosts is not None:
-            from repro.workloads.remote import _execute_remote
-
-            result = _execute_remote(
-                spec,
-                algorithm_kwargs,
-                hosts=policy.hosts,
-                max_workers=policy.workers,
-                timeout=policy.timeout,
-                max_retries=policy.retries,
-                journal_path=policy.journal,
-                resume=policy.resume,
-                salvage=policy.salvage,
-                chaos=policy.chaos,
-                host_chaos=policy.host_chaos,
-                interrupt_after=policy.interrupt_after,
-                cache=cache,
-                cells=cells,
-                shard=shard,
-                backend=policy.backend,
-                heartbeat_interval=policy.heartbeat_interval,
-                lease_timeout=policy.lease_timeout,
-                speculate=policy.speculate,
-                host_max_failures=policy.host_max_failures,
-                handshake_timeout=policy.handshake_timeout,
-                local_fallback=policy.local_fallback,
-            )
-        elif policy.elastic:
-            from repro.workloads.elastic import _execute_elastic
-
-            result = _execute_elastic(
-                spec,
-                algorithm_kwargs,
-                max_workers=policy.workers,
-                timeout=policy.timeout,
-                max_retries=policy.retries,
-                journal_path=policy.journal,
-                resume=policy.resume,
-                salvage=policy.salvage,
-                chaos=policy.chaos,
-                worker_chaos=policy.worker_chaos,
-                interrupt_after=policy.interrupt_after,
-                cache=cache,
-                cells=cells,
-                shard=shard,
-                backend=policy.backend,
-                heartbeat_interval=policy.heartbeat_interval,
-                lease_timeout=policy.lease_timeout,
-                speculate=policy.speculate,
-                adaptive_reps=policy.adaptive_reps,
-                adaptive_min_reps=policy.adaptive_min_reps,
-                adaptive_rel_tol=policy.adaptive_rel_tol,
-                worker_max_failures=policy.worker_max_failures,
-            )
-        else:
-            result = _execute_resilient(
-                spec,
-                algorithm_kwargs,
-                max_workers=policy.workers,
-                timeout=policy.timeout,
-                max_retries=policy.retries,
-                backoff=policy.backoff,
-                journal_path=policy.journal,
-                resume=policy.resume,
-                salvage=policy.salvage,
-                chaos=policy.chaos,
-                interrupt_after=policy.interrupt_after,
-                cache=cache,
-                cells=cells,
-                shard=shard,
-                backend=policy.backend,
-            )
+        result = run_lease_loop(spec, policy, algorithm_kwargs, cache, cells, shard)
     else:
         result = _execute_serial(spec, algorithm_kwargs, cache, policy.backend)
     if policy.strict and result.manifest.failures:

@@ -1,12 +1,22 @@
-"""Remote elastic execution: the lease queue served over a wire.
+"""The sweep lease loop: one scheduler for every multiprocess sweep.
 
-PR 5 gave the repo verified multi-host *journal* transport and PR 7 an
-elastic *local* lease queue; this module joins them.  One sweep spans
-machines: the controller serves cells from the same
-:class:`~repro.workloads.elastic.CellQueue` to worker processes launched
-on other hosts (over ssh, a container exec, or plain subprocesses for
-tests), with the lease / heartbeat / speculation semantics unchanged
-from the local pool.
+The controller serves cells from one
+:class:`~repro.workloads.elastic.CellQueue` to worker *links* of two
+kinds, both running :func:`repro.workloads.remote_worker.main` over the
+same wire protocol:
+
+* a **local link** is a worker process forked through
+  :mod:`multiprocessing`, so it inherits the imported stack, the shared
+  bracket cache and the after-fork hooks.  Its failure domain is the
+  worker *slot*: respawned, then quarantined as a
+  :class:`~repro.workloads.resilient.WorkerFailure`.  A local link that
+  misses heartbeats is killed.
+* a **remote link** is a worker launched by a ``hosts.json`` command
+  (ssh, a container exec, or a plain subprocess in tests).  Its failure
+  domain is the whole *host*, quarantined as a
+  :class:`~repro.workloads.resilient.HostFailure`.  A remote link that
+  misses heartbeats is left running, so a healed partition can still
+  deliver.
 
 The moving parts:
 
@@ -14,9 +24,9 @@ The moving parts:
   host, its launch command (a ``{python}``-templated transport spec, ssh
   or otherwise), its worker slot count, and optionally a pinned code
   fingerprint.
-* **Launch handshake** — a spawned worker's first message is ``hello``
-  carrying its :func:`env_fingerprint` (code tree hash, python, numpy,
-  protocol version).  The controller verifies it against its own (or the
+* **Launch handshake** — a worker's first message is ``hello`` carrying
+  its :func:`env_fingerprint` (code tree hash, python, numpy, protocol
+  version).  The controller verifies it against its own (or the
   registry's pinned value) before any lease is granted; a mismatched
   host is rejected and quarantined — distributed determinism starts with
   refusing to run divergent code.
@@ -25,27 +35,37 @@ The moving parts:
   per-message CRC and a per-channel sequence number.  Duplicate delivery
   (a retransmit) is detected by sequence and deduped rather than
   double-charged; a CRC mismatch is loud.
-* **Network failure domains** — the host is a failure domain *above*
-  the worker slot.  A **dead host** (channel EOF) is charged
-  (``host_max_failures``, then quarantine: every lease requeued
-  charge-free).  A **partitioned host** just goes quiet: its leases
-  expire and re-dispatch with *no* host charge, and if the partition
-  heals the stale result is deduped first-verified-wins and asserted
-  bit-identical — exactly the local speculation contract.  A **slow
-  host** keeps heartbeating and keeps its leases.
+* **Failure accounting** — a cell fault (``nack``, corrupt rows, hard
+  timeout) spends the cell's retry budget.  A worker death re-queues the
+  cell charge-free but counts the death (``retries + 1`` deaths
+  quarantine the cell as ``crash``) and charges the link's domain.
+  Lease expiry re-queues charge-free.  A **partitioned host** just goes
+  quiet: its leases expire and re-dispatch with *no* host charge, and if
+  the partition heals the stale result is deduped first-verified-wins
+  and asserted bit-identical.  A **slow host** keeps heartbeating and
+  keeps its leases.
+* **Group leases** — with a batching backend and no fault injection, one
+  lease carries up to :data:`_GROUP_CELLS` fresh cells (a fair share of
+  the queue) so the batch kernel amortises across them; group leases
+  are not speculated.  A group that fails is demoted to independent
+  per-cell attempts, so retry semantics stay per-cell.
 * **Graceful degradation** — when every remote host is quarantined the
-  sweep falls back to local worker processes driven through the same
-  protocol (``manifest.degraded_to_local``); only if the fallback dies
-  too are the remaining cells quarantined (kind ``"host"``).
+  sweep finishes on local links (``manifest.degraded_to_local``); with
+  ``local_fallback=False`` the remaining cells are quarantined instead
+  (kind ``"host"``).
+* **No threads, no polling** — the controller blocks in one
+  :func:`multiprocessing.connection.wait` over every link's read end,
+  with the nearest lease, handshake or heal deadline as the timeout.  It
+  holds no thread of its own, so forking a local link mid-sweep (a
+  respawn, the local fallback) is safe.
 
-Rows land through the existing journal path with host/transport
-provenance *outside* the row CRC, so ``merge_journals``, ``repro
-verify`` and resume are unchanged — a chaotic 3-host run merges
-bit-identical to the serial scalar run (bench E28).
-
-Network chaos (:class:`repro.testing.chaos.HostChaosPlan`) is applied
-controller-side on the inbound path via :class:`HostLink`, a pure state
-machine (explicit ``now``) so partition/heal/dedup interleavings are
+Rows land through the journal with host/transport provenance *outside*
+the row CRC, so ``merge_journals``, ``repro verify`` and resume are
+unchanged — a chaotic run merges bit-identical to the serial scalar run
+(benches E26, E28).  Network chaos
+(:class:`repro.testing.chaos.HostChaosPlan`) is applied controller-side
+on the inbound path via :class:`HostLink`, a pure state machine
+(explicit ``now``) so partition/heal/dedup interleavings are
 property-testable without processes.
 """
 
@@ -54,52 +74,48 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import multiprocessing as mp
 import os
 import pickle
 import platform
-import queue as queue_mod
 import shlex
+import signal
 import subprocess
 import sys
-import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections.abc import Hashable
+from dataclasses import dataclass
 from functools import lru_cache
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.offline.cache import BracketCache
+from repro.offline.cache import BracketCache, CacheStats
 from repro.serve.protocol import encode_line
-from repro.workloads.elastic import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    LEASE_TIMEOUT_BEATS,
-    CellQueue,
-    Lease,
-)
+from repro.workloads import resilient
+from repro.workloads.elastic import LEASE_TIMEOUT_BEATS, CellQueue, Lease, _AdaptiveReps
 from repro.workloads.journal import row_from_payload
 from repro.workloads.resilient import (
+    _KILL_GRACE,
     CellFailure,
     FailureManifest,
     HostFailure,
     ResilientSweepResult,
     SweepInterrupted,
+    WorkerFailure,
     _assemble,
+    _terminate,
+    _terminate_all,
     check_seed_collisions,
     prepare_journal,
-    validate_cell_rows,
     validate_sweep_pickles,
 )
-from repro.workloads.sweep import SweepSpec
+from repro.workloads.sweep import SweepRow, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testing.chaos import ChaosPlan, HostChaosPlan
-
-#: Scheduler poll cadence (seconds) — bounds dispatch/reap latency.
-_POLL_INTERVAL = 0.005
-
-#: Grace period between SIGTERM and SIGKILL when reaping a worker.
-_KILL_GRACE = 0.5
+    from repro.testing.chaos import HostChaosPlan
+    from repro.workloads.execute import ExecutionPolicy
 
 #: Version of the lease-over-the-wire protocol (part of the handshake).
 REMOTE_PROTOCOL_VERSION = 1
@@ -124,8 +140,22 @@ REMOTE_OPS = (
 #: ``"ssh worker-3 {python} -m repro.workloads.remote_worker"``.
 DEFAULT_WORKER_COMMAND = "{python} -m repro.workloads.remote_worker"
 
+#: Registry name of the host owning the local links of a sweep without hosts.
+LOCAL_HOST = "local"
+
 #: Registry name of the synthesized local-fallback host.
 LOCAL_FALLBACK_HOST = "local-fallback"
+
+#: ``scheduler`` value of the journal stats trailer (older journals carry
+#: ``static``, ``elastic`` or ``elastic-remote``).
+SCHEDULER = "lease"
+
+#: Cells per group lease when the backend batches and no fault injection
+#: is active: the batch kernel amortises its setup across them.
+_GROUP_CELLS = 8
+
+#: Seconds idle links get to exit after ``stop`` before they are killed.
+_STOP_GRACE = 1.0
 
 
 class RemoteProtocolError(ValueError):
@@ -351,6 +381,14 @@ class HostLink:
         """Messages are currently being held by an injected partition."""
         return self.first_held_at is not None
 
+    @property
+    def heal_at(self) -> float | None:
+        """When the held backlog becomes deliverable (``None``: nothing held)."""
+        part = None if self.chaos is None else self.chaos.partition_for(self.host)
+        if self.first_held_at is None or part is None:
+            return None
+        return self.first_held_at + part[1]
+
     def receive(self, raw: bytes | str, now: float) -> list[dict[str, Any]]:
         """Decode one inbound line; return the messages deliverable *now*.
 
@@ -401,84 +439,75 @@ class HostLink:
 
 
 # ---------------------------------------------------------------------------
-# controller-side channel / host state
+# controller-side host / link state
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Host:
-    """Runtime state of one registry host (the failure domain)."""
+    """A failure domain: one registry host, or the controller's machine."""
 
     spec: HostSpec
+    #: links are forked local processes, charged per slot, never per host.
+    local: bool = False
     failures: int = 0
     history: tuple[str, ...] = ()
     quarantined: bool = False
     leases_granted: int = 0
     cells_done: int = 0
-    #: the synthesized local-fallback host is exempt from network chaos.
-    chaos_exempt: bool = False
 
 
 @dataclass
-class _Channel:
-    """One worker process on one host slot, across process generations."""
+class _Link:
+    """One worker position on a host, across process generations."""
 
-    worker_id: int
+    id: int
     host: _Host
     slot: int
-    process: subprocess.Popen | None = None
-    link: HostLink | None = None
-    generation: int = 0
+    #: ``multiprocessing.Process`` (local) or ``subprocess.Popen`` (remote).
+    process: Any = None
+    #: unbuffered pipe ends: the worker's output and input.
+    rfile: Any = None
+    wfile: Any = None
+    inbound: HostLink | None = None
+    #: a partial line read ahead of its newline.
+    buffer: bytes = b""
     #: ``hello`` (awaiting handshake) or ``active``.
     state: str = "hello"
     hello_deadline: float = 0.0
     idle: bool = False
     out_seq: int = 0
-    history: tuple[str, ...] = field(default=())
+    #: leases sent to this process generation (worker chaos counts them).
+    leases: int = 0
+    #: slot failures; a local link is its own failure domain.
+    failures: int = 0
+    history: tuple[str, ...] = ()
+    quarantined: bool = False
+    started_at: float = 0.0
+    last_activity: float = 0.0
+    cells_done: int = 0
 
     @property
     def live(self) -> bool:
-        return self.process is not None and not self.host.quarantined
-
-    def send(self, op: str, **fields: Any) -> None:
-        """Write one framed message to the worker (best-effort; EOF is
-        detected on the inbound path)."""
-        if self.process is None or self.process.stdin is None:
-            return
-        self.out_seq += 1
-        try:
-            self.process.stdin.write(encode_message(op, self.out_seq, **fields))
-            self.process.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError):
-            pass
+        return self.process is not None and not (self.quarantined or self.host.quarantined)
 
 
-def _reader(
-    process: subprocess.Popen,
-    worker_id: int,
-    generation: int,
-    inbox: "queue_mod.Queue[tuple[int, int, bytes | None]]",
-) -> None:
-    """Per-channel reader thread: stdout lines -> inbox, then EOF marker."""
+def _local_worker(stdin_fd: int, stdout_fd: int, inherited: list[int], job: tuple) -> None:
+    """Body of a forked local link: the worker loop over a pipe pair."""
+    from repro.workloads.remote_worker import main
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the controller owns ^C
+    for fd in inherited:
+        os.close(fd)  # other links' pipe ends: their EOF must not wait on us
     try:
-        assert process.stdout is not None
-        for line in process.stdout:
-            inbox.put((worker_id, generation, line))
-    except (OSError, ValueError):  # pragma: no cover - teardown races
+        with os.fdopen(stdin_fd, "rb") as stdin, os.fdopen(stdout_fd, "wb") as stdout:
+            main(stdin, stdout, job=job)
+    except OSError:  # the controller went away mid-write
         pass
-    finally:
-        inbox.put((worker_id, generation, None))
 
 
-def _kill_process(process: subprocess.Popen | None) -> None:
-    if process is None:
-        return
-    for stream in (process.stdin, process.stdout):
-        try:
-            if stream is not None:
-                stream.close()
-        except (OSError, ValueError):  # pragma: no cover
-            pass
+def _kill_process(process: subprocess.Popen) -> None:
+    """Bounded SIGTERM -> SIGKILL teardown of a remote link's launcher."""
     if process.poll() is None:
         process.terminate()
         try:
@@ -488,517 +517,668 @@ def _kill_process(process: subprocess.Popen | None) -> None:
             process.wait()
 
 
+def _join(process: Any, timeout: float) -> None:
+    """Wait up to *timeout* seconds for a link's process to exit."""
+    if isinstance(process, subprocess.Popen):
+        try:
+            process.wait(timeout)
+        except subprocess.TimeoutExpired:
+            pass
+    else:
+        process.join(timeout)
+
+
 # ---------------------------------------------------------------------------
-# the remote scheduler
+# the lease loop
 # ---------------------------------------------------------------------------
 
 
-def _execute_remote(
+def run_lease_loop(
     spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]] | None = None,
-    *,
-    hosts: str | os.PathLike[str] | tuple[HostSpec, ...] | list[HostSpec],
-    max_workers: int | None = None,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    journal_path: str | os.PathLike[str] | None = None,
-    resume: bool = False,
-    chaos: "ChaosPlan | None" = None,
-    host_chaos: "HostChaosPlan | None" = None,
-    interrupt_after: int | None = None,
-    cache: BracketCache | None = None,
+    policy: "ExecutionPolicy",
+    algorithm_kwargs: dict[str, dict[str, Any]],
+    cache: BracketCache | None,
     cells: list[tuple[float, int, int]] | None = None,
     shard: tuple[int, int] | None = None,
-    salvage: bool = False,
-    backend: str = "scalar",
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    lease_timeout: float | None = None,
-    speculate: bool = True,
-    host_max_failures: int = 2,
-    handshake_timeout: float = 30.0,
-    local_fallback: bool = True,
 ) -> ResilientSweepResult:
-    """Remote pull-scheduler behind ``ExecutionPolicy(hosts=...)``.
+    """The process path of :func:`repro.workloads.execute.execute_sweep`.
 
-    Mirrors :func:`repro.workloads.elastic._execute_elastic` — same
-    journal preparation, seed-collision checks, row validation, result
-    assembly — but serves the :class:`CellQueue` to worker processes on
-    registry hosts over the wire protocol.  The failure-domain ladder:
-
-    * **cell faults** (``nack``, corrupt rows, hard timeout) charge the
-      cell's retry budget, exactly like every other scheduler;
-    * **lease expiry** (missed heartbeats) re-queues the cell
-      charge-free and charges *nothing* else — the host may merely be
-      partitioned, and killing it would forfeit the stale-result
-      determinism check when the partition heals;
-    * **host faults** (channel EOF, handshake timeout, protocol
-      garbage) charge the *host*; past ``host_max_failures`` the host is
-      quarantined whole — every channel killed, every lease requeued
-      charge-free — and recorded as a
-      :class:`~repro.workloads.resilient.HostFailure`;
-    * a **fingerprint mismatch** quarantines immediately (retrying
-      cannot fix divergent code);
-    * with every host quarantined, ``local_fallback`` spawns
-      chaos-exempt workers on the controller's own machine through the
-      same protocol and sets ``manifest.degraded_to_local``; without a
-      fallback the remaining cells quarantine with kind ``"host"``.
+    Serves *cells* (default: the whole grid) to local links — or, with
+    ``policy.hosts``, to remote links — until every cell is completed or
+    quarantined.  ``shard`` is the ``(index, count)`` stamp written into
+    and checked against the journal.  Returns a
+    :class:`~repro.workloads.resilient.ResilientSweepResult`; never
+    raises for individual cell failures (see ``result.manifest``).  A
+    ``SIGINT`` (or ``policy.interrupt_after``) tears every link down and
+    raises :class:`~repro.workloads.resilient.SweepInterrupted` carrying
+    the flushed partial result.
     """
-    algorithm_kwargs = algorithm_kwargs or {}
     validate_sweep_pickles(spec, algorithm_kwargs)
-    if lease_timeout is None:
-        lease_timeout = LEASE_TIMEOUT_BEATS * heartbeat_interval
-    host_specs = resolve_hosts(hosts)
-
     cells = list(spec.cells()) if cells is None else list(cells)
     check_seed_collisions(spec, cells)
-    manifest = FailureManifest(cells_total=len(cells))
-    journal, completed = prepare_journal(
-        spec, cells, journal_path, resume=resume, shard=shard, salvage=salvage
-    )
-    manifest.cells_replayed = len(completed)
+    return _LeaseLoop(spec, policy, algorithm_kwargs, cache, cells, shard).run()
 
-    todo = [cell for cell in cells if spec.cell_seed(*cell) not in completed]
-    queue = CellQueue(
-        [(eps, m, rep, spec.cell_seed(eps, m, rep)) for eps, m, rep in todo],
-        retries=max_retries,
-        lease_timeout=lease_timeout,
-        timeout=timeout,
-        speculate=speculate,
-    )
-    cell_by_seed = {spec.cell_seed(eps, m, rep): (eps, m, rep) for eps, m, rep in cells}
 
-    local_fp = env_fingerprint()
-    init_payload = base64.b64encode(
-        pickle.dumps((spec, algorithm_kwargs, backend, chaos))
-    ).decode("ascii")
-    worker_env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parent.parent.parent)
-    worker_env["PYTHONPATH"] = (
-        src_root + os.pathsep + worker_env["PYTHONPATH"]
-        if worker_env.get("PYTHONPATH")
-        else src_root
-    )
+class _LeaseLoop:
+    """Controller state of one multiprocess sweep (see the module docstring)."""
 
-    inbox: "queue_mod.Queue[tuple[int, int, bytes | None]]" = queue_mod.Queue()
-    hosts_state = [_Host(spec=hs) for hs in host_specs]
-    channels: dict[int, _Channel] = {}
-    next_worker_id = 0
-    new_cells = 0
-    heartbeats_total = 0
-    fallback_started = False
-    started = time.monotonic()
+    def __init__(
+        self,
+        spec: SweepSpec,
+        policy: "ExecutionPolicy",
+        algorithm_kwargs: dict[str, dict[str, Any]],
+        cache: BracketCache | None,
+        cells: list[tuple[float, int, int]],
+        shard: tuple[int, int] | None,
+    ) -> None:
+        from repro.workloads import remote_worker  # noqa: F401 - loaded once, before any fork
 
-    def spawn_channel(chan: _Channel) -> None:
-        chan.generation += 1
-        chan.state = "hello"
-        chan.idle = False
-        chan.out_seq = 0
-        chan.link = HostLink(
-            chan.host.spec.name, host_chaos, exempt=chan.host.chaos_exempt
+        self.spec = spec
+        self.policy = policy
+        self.cells = cells
+        self.host_specs = None if policy.hosts is None else resolve_hosts(policy.hosts)
+        self.manifest = FailureManifest(cells_total=len(cells))
+        self.journal, self.completed = prepare_journal(
+            spec, cells, policy.journal, resume=policy.resume, shard=shard,
+            salvage=policy.salvage,
         )
-        chan.hello_deadline = time.monotonic() + handshake_timeout
+        self.manifest.cells_replayed = len(self.completed)
+        self.adaptive: _AdaptiveReps | None = None
+        if policy.adaptive_reps:
+            self.adaptive = _AdaptiveReps(
+                spec, cells, min_reps=policy.adaptive_min_reps,
+                rel_tol=policy.adaptive_rel_tol,
+            )
+            todo = self.adaptive.initial_cells(self.completed)
+        else:
+            todo = [cell for cell in cells if spec.cell_seed(*cell) not in self.completed]
+        faultless = (
+            policy.chaos is None
+            and policy.worker_chaos is None
+            and policy.host_chaos is None
+            and policy.interrupt_after is None
+        )
+        self.group_size = _GROUP_CELLS if policy.backend != "scalar" and faultless else 1
+        self.queue = CellQueue(
+            [(eps, m, rep, spec.cell_seed(eps, m, rep)) for eps, m, rep in todo],
+            retries=policy.retries,
+            lease_timeout=policy.lease_timeout
+            or LEASE_TIMEOUT_BEATS * policy.heartbeat_interval,
+            timeout=policy.timeout,
+            # A group is one batch: copying its cells one by one would
+            # redo the batch's work (and its cache lookups) piecemeal.
+            speculate=policy.speculate and self.group_size == 1,
+        )
+        self.cell_by_seed = {spec.cell_seed(*cell): cell for cell in cells}
+        #: what a local link inherits; a remote one gets it pickled, uncached.
+        self.job = (spec, algorithm_kwargs, policy.backend, policy.chaos, cache)
+        self.fingerprint = env_fingerprint()
+        self.cache_totals = CacheStats() if cache is not None else None
+        self.hosts: list[_Host] = []
+        self.links: dict[int, _Link] = {}
+        #: this pass's ``(link, lease, rows, lease_ms)`` wins, journaled after the grants.
+        self.wins: list[tuple[_Link, Lease, list[SweepRow], float]] = []
+        self.heartbeats = 0
+        self.new_cells = 0
+        self.started = time.monotonic()
+        self._payload: str | None = None
+
+    # -- links ---------------------------------------------------------
+
+    def add_host(self, spec: HostSpec, *, local: bool) -> None:
+        host = _Host(spec=spec, local=local)
+        self.hosts.append(host)
+        for slot in range(spec.slots):
+            if host.quarantined:
+                break  # every launch failed
+            link = _Link(id=len(self.links), host=host, slot=slot)
+            self.links[link.id] = link
+            self.spawn(link)
+
+    def spawn(self, link: _Link) -> None:
+        """Start a fresh worker for *link*: forked if local, launched if remote."""
+        now = time.monotonic()
+        link.state, link.idle, link.out_seq, link.leases, link.buffer = "hello", False, 0, 0, b""
+        link.inbound = HostLink(
+            link.host.spec.name, self.policy.host_chaos, exempt=link.host.local
+        )
+        link.hello_deadline = now + self.policy.handshake_timeout
+        link.started_at = link.started_at or now
+        link.last_activity = now
+        if link.host.local:
+            rfd, child_out = os.pipe()
+            child_in, wfd = os.pipe()
+            inherited = [rfd, wfd] + [
+                stream.fileno()
+                for other in self.links.values()
+                for stream in (other.rfile, other.wfile)
+                if stream is not None
+            ]
+            link.process = mp.get_context("fork").Process(
+                target=_local_worker,
+                args=(child_in, child_out, inherited, self.job),
+                daemon=True,
+            )
+            link.process.start()
+            os.close(child_in)
+            os.close(child_out)
+            link.rfile = os.fdopen(rfd, "rb", buffering=0)
+            link.wfile = os.fdopen(wfd, "wb", buffering=0)
+            return
         try:
-            chan.process = subprocess.Popen(
-                chan.host.spec.argv(),
+            link.process = subprocess.Popen(
+                link.host.spec.argv(),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                env=worker_env,
+                env=self.worker_env(),
+                bufsize=0,
             )
         except OSError as exc:
-            chan.process = None
-            inbox.put((chan.worker_id, chan.generation, None))
-            chan.history = chan.history + (f"launch failed: {exc}",)
+            self.link_fault(link, f"handshake: launch failed ({exc})")
             return
-        threading.Thread(
-            target=_reader,
-            args=(chan.process, chan.worker_id, chan.generation, inbox),
-            daemon=True,
-        ).start()
+        link.rfile, link.wfile = link.process.stdout, link.process.stdin
 
-    def add_host(host: _Host) -> None:
-        nonlocal next_worker_id
-        for slot in range(host.spec.slots):
-            chan = _Channel(worker_id=next_worker_id, host=host, slot=slot)
-            next_worker_id += 1
-            channels[chan.worker_id] = chan
-            spawn_channel(chan)
+    def worker_env(self) -> dict[str, str]:
+        """The controller's environment with its source tree importable."""
+        env = dict(os.environ)
+        src_root = str(Path(__file__).resolve().parent.parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
+        return env
 
-    def live_hosts() -> list[_Host]:
-        return [host for host in hosts_state if not host.quarantined]
+    def kill(self, link: _Link) -> None:
+        """Tear down *link*'s process and pipes (bounded; reaps the child)."""
+        for stream in (link.rfile, link.wfile):
+            if stream is not None:
+                stream.close()
+        link.rfile = link.wfile = None
+        if isinstance(link.process, subprocess.Popen):
+            _kill_process(link.process)
+        elif link.process is not None:
+            _terminate(link.process)
+        link.process = None
+        link.idle = False
 
-    def release_channel(chan: _Channel, detail: str) -> None:
-        """Revoke the channel's lease charge-free (the cell is innocent)."""
-        queue.release(chan.worker_id, detail, charge_cell=False)
+    def kill_all(self) -> None:
+        _terminate_all(
+            [link.process for link in self.links.values()
+             if link.host.local and link.process is not None]
+        )
+        for link in self.links.values():
+            self.kill(link)
 
-    def quarantine_host(host: _Host, detail: str) -> None:
+    def send(self, link: _Link, op: str, **fields: Any) -> None:
+        """Write one framed message to *link* (best-effort: a dead worker
+        shows up as EOF on the read side)."""
+        if link.wfile is None:
+            return
+        link.out_seq += 1
+        data = encode_message(op, link.out_seq, **fields)
+        try:
+            while data:
+                data = data[link.wfile.write(data):]
+        except OSError:
+            pass
+
+    def payload(self) -> str:
+        """The sweep pickled for remote links (no cache: it is host-local)."""
+        if self._payload is None:
+            self._payload = base64.b64encode(pickle.dumps(self.job[:4] + (None,))).decode("ascii")
+        return self._payload
+
+    def init_fields(self, link: _Link) -> dict[str, Any]:
+        """``init`` for *link*: the worker or host chaos plan as directives."""
+        policy, slot = self.policy, link.slot
+        fields: dict[str, Any] = {
+            "host": link.host.spec.name,
+            "slot": slot,
+            "heartbeat_interval": policy.heartbeat_interval,
+        }
+        if not link.host.local:
+            fields["payload"] = self.payload()
+            if policy.host_chaos is not None:
+                fields["slow"] = policy.host_chaos.slow_for(link.host.spec.name)
+        elif policy.worker_chaos is not None:
+            chaos = policy.worker_chaos
+            fields["slow"] = chaos.delay_for(slot)
+            fields["duplicate"] = chaos.duplicates_result(slot)
+            if chaos.suppresses_heartbeat(slot):
+                fields["heartbeat_interval"] = 0.0
+        return fields
+
+    def dies(self, link: _Link) -> bool:
+        """Whether the chaos plans kill *link* on the lease being sent."""
+        policy = self.policy
+        if link.host.local:
+            chaos = policy.worker_chaos
+            return chaos is not None and chaos.dies_on_cell(link.slot, link.leases)
+        chaos = policy.host_chaos
+        return chaos is not None and chaos.dies_on_lease(
+            link.host.spec.name, link.host.leases_granted
+        )
+
+    # -- failure domains -----------------------------------------------
+
+    def held(self, link: _Link) -> list[Hashable]:
+        """Keys of the leases *link* holds: ``(link id, group member)``."""
+        return [key for key in self.queue.leases if key[0] == link.id]
+
+    def release(self, key: Hashable, detail: str, *, charge_cell: bool, died: bool = False) -> None:
+        queue = self.queue
+        failures, pending = len(queue.failures), len(queue.pending)
+        queue.release(key, detail, charge_cell=charge_cell, died=died)
+        if len(queue.pending) > pending and (charge_cell or died):
+            self.manifest.retries += 1
+        for failure in queue.failures[failures:]:
+            self.quarantine_cell(failure)
+
+    def fail_leases(
+        self, link: _Link, detail: str, *, charge_cell: bool = True, died: bool = False
+    ) -> None:
+        """Revoke every lease *link* holds.  A group lease is demoted: its
+        cells re-queue charge-free as independent attempts."""
+        keys = self.held(link)
+        if len(keys) > 1:
+            detail, charge_cell, died = f"group-lease {detail}", False, False
+        for key in keys:
+            self.release(key, detail, charge_cell=charge_cell, died=died)
+
+    def quarantine_cell(self, failure: CellFailure) -> None:
+        self.manifest.failures.append(failure)
+        if self.journal is not None:
+            self.journal.record_failure(failure.as_dict())
+
+    def link_fault(self, link: _Link, detail: str, *, died: bool = False) -> None:
+        """*link* failed (death, garbage, handshake, local expiry): revoke its
+        leases charge-free, then respawn it or quarantine its domain — the
+        slot of a local link, the host of a remote one."""
+        self.fail_leases(link, detail, charge_cell=False, died=died)
+        self.kill(link)
+        domain = link if link.host.local else link.host
+        domain.failures += 1
+        domain.history += (detail,)
+        if link.host.local:
+            floor = not any(
+                other.live for other in self.links.values()
+                if other.host.local and other is not link
+            )
+            if link.failures > self.policy.worker_max_failures and not floor:
+                link.quarantined = True
+                self.manifest.worker_failures.append(
+                    WorkerFailure(link.slot, link.failures, detail, link.history)
+                )
+                return
+        elif link.host.failures > self.policy.host_max_failures:
+            self.quarantine_host(link.host, detail)
+            return
+        if not self.queue.done:
+            self.spawn(link)
+
+    def quarantine_host(self, host: _Host, detail: str) -> None:
         """Remove a whole host from the pool; its leases requeue charge-free."""
-        nonlocal fallback_started
         if host.quarantined:
             return
         host.quarantined = True
-        host.history = host.history + (detail,)
-        for chan in list(channels.values()):
-            if chan.host is host:
-                release_channel(chan, detail)
-                _kill_process(chan.process)
-                chan.process = None
-                del channels[chan.worker_id]
-        manifest.host_failures.append(
-            HostFailure(
-                host=host.spec.name,
-                failures=host.failures,
-                detail=detail,
-                history=host.history,
-            )
+        host.history += (detail,)
+        for link in self.links.values():
+            if link.host is host:
+                self.fail_leases(link, detail, charge_cell=False)
+                self.kill(link)
+        self.manifest.host_failures.append(
+            HostFailure(host.spec.name, host.failures, detail, host.history)
         )
-        if live_hosts() or queue.done:
+        if self.queue.done or not all(h.quarantined for h in self.hosts):
             return
-        if local_fallback and not fallback_started:
-            fallback_started = True
-            manifest.degraded_to_local = True
-            slots = max_workers or min(2, os.cpu_count() or 2)
-            fallback = _Host(
-                spec=HostSpec(name=LOCAL_FALLBACK_HOST, slots=slots),
-                chaos_exempt=True,
-            )
-            hosts_state.append(fallback)
-            add_host(fallback)
+        if self.policy.local_fallback and not self.manifest.degraded_to_local:
+            self.manifest.degraded_to_local = True
+            slots = self.policy.workers or min(2, os.cpu_count() or 2)
+            self.add_host(HostSpec(name=LOCAL_FALLBACK_HOST, slots=slots), local=True)
         else:
-            abort_remaining("host: every host quarantined, no fallback left")
+            self.abort_remaining("host: every host quarantined, no fallback left")
 
-    def host_fault(host: _Host, chan: _Channel, detail: str) -> None:
-        """Charge the host; respawn the channel or quarantine the domain."""
-        host.failures += 1
-        host.history = host.history + (detail,)
-        release_channel(chan, detail)
-        _kill_process(chan.process)
-        chan.process = None
-        if host.failures > host_max_failures:
-            quarantine_host(host, detail)
-        else:
-            spawn_channel(chan)
-
-    def abort_remaining(detail: str) -> None:
+    def abort_remaining(self, detail: str) -> None:
         """Quarantine everything still unfinished as a host-domain loss."""
-        for worker_id in list(queue.leases):
-            queue.release(worker_id, detail, charge_cell=False)
+        queue = self.queue
+        for key in list(queue.leases):
+            queue.release(key, detail, charge_cell=False)
         while queue.pending:
             task = queue.pending.popleft()
             if task.seed not in queue.remaining:
                 continue
             queue.remaining.discard(task.seed)
-            failure = CellFailure(
-                epsilon=task.eps,
-                machines=task.m,
-                repetition=task.rep,
-                seed=task.seed,
-                attempts=max(task.attempt - 1, 0),
-                kind="host",
-                detail=detail,
-                history=task.history + (detail,),
+            self.quarantine_cell(
+                CellFailure(
+                    epsilon=task.eps,
+                    machines=task.m,
+                    repetition=task.rep,
+                    seed=task.seed,
+                    attempts=max(task.attempt - 1, 0),
+                    kind="host",
+                    detail=detail,
+                    history=task.history + (detail,),
+                )
             )
-            manifest.failures.append(failure)
-            if journal is not None:
-                journal.record_failure(failure.as_dict())
 
-    def cell_fault(chan: _Channel, detail: str) -> None:
-        """Charge the cell's retry budget (nack / corrupt / hard timeout)."""
-        pending_before = len(queue.pending)
-        failures_before = len(queue.failures)
-        queue.release(chan.worker_id, detail, charge_cell=True)
-        if len(queue.pending) > pending_before:
-            manifest.retries += 1
-        for failure in queue.failures[failures_before:]:
-            manifest.failures.append(failure)
-            if journal is not None:
-                journal.record_failure(failure.as_dict())
+    # -- inbound -------------------------------------------------------
 
-    def record_win(chan: _Channel, lease: Lease, rows) -> None:
-        nonlocal new_cells
-        manifest.cells_completed += 1
-        if lease.attempt > 1 or lease.history:
-            manifest.recovered += 1
-        completed[lease.seed] = rows
-        chan.host.cells_done += 1
-        if journal is not None:
-            journal.record_cell(
-                lease.seed,
-                lease.eps,
-                lease.m,
-                lease.rep,
-                rows,
-                provenance={
-                    "host": chan.host.spec.name,
-                    "slot": chan.slot,
-                    "worker": lease.worker,
-                    "attempt": lease.attempt,
-                    "heartbeats": lease.heartbeats,
-                    "lease_ms": round((time.monotonic() - lease.granted_at) * 1e3, 3),
-                    "speculative": lease.speculative,
-                    "transport": "remote",
-                },
-            )
-        new_cells += 1
-        if (
-            interrupt_after is not None
-            and new_cells >= interrupt_after
-            and not queue.done
-        ):
-            raise KeyboardInterrupt  # simulated hard kill, same path as SIGINT
-
-    def handle_message(chan: _Channel, message: dict[str, Any]) -> None:
-        nonlocal heartbeats_total
-        op = message["op"]
-        if op == "ready":
-            chan.idle = True
-        elif op == "heartbeat":
-            heartbeats_total += 1
-            queue.heartbeat(chan.worker_id, time.monotonic())
-        elif op == "result":
-            try:
-                rows = [row_from_payload(p) for p in message["rows"]]
-            except Exception as exc:  # noqa: BLE001 - wire payloads are hostile
-                cell_fault(chan, f"corrupt: undecodable result rows ({exc})")
-                return
-            seed = message.get("seed")
-            cell = cell_by_seed.get(seed)
-            problem = (
-                "unknown cell seed"
-                if cell is None
-                else validate_cell_rows(spec, *cell, rows)
-            )
-            if problem is not None:
-                lease = queue.leases.get(chan.worker_id)
-                if lease is not None and lease.seed == seed:
-                    cell_fault(chan, f"corrupt: {problem}")
-                return  # corrupt stale/duplicate copies just drop
-            outcome, lease = queue.complete(chan.worker_id, seed, rows)
-            if outcome == "win":
-                record_win(chan, lease, rows)
-        elif op == "nack":
-            lease = queue.leases.get(chan.worker_id)
-            if lease is not None and lease.seed == message.get("seed"):
-                cell_fault(chan, f"error: {message.get('detail', 'worker nack')}")
-        # hello out of band, anything else ignored (future-proofing)
-
-    def handle_hello(chan: _Channel, raw: bytes) -> None:
+    def handshake(self, link: _Link, raw: bytes) -> None:
         try:
             message = decode_message(raw)
         except RemoteProtocolError as exc:
-            host_fault(chan.host, chan, f"protocol: {exc}")
-            return
+            return self.link_fault(link, f"protocol: {exc}")
         if message["op"] != "hello":
-            host_fault(
-                chan.host, chan, f"protocol: expected hello, got {message['op']!r}"
-            )
-            return
-        expected = dict(local_fp)
-        if chan.host.spec.fingerprint is not None:
-            expected["code"] = chan.host.spec.fingerprint
+            return self.link_fault(link, f"protocol: expected hello, got {message['op']!r}")
+        expected = dict(self.fingerprint)
+        if link.host.spec.fingerprint is not None:
+            expected["code"] = link.host.spec.fingerprint
         mismatch = fingerprint_mismatch(expected, message.get("fingerprint") or {})
         if mismatch is not None:
-            chan.send("reject", detail=mismatch)
-            chan.host.failures += 1
-            quarantine_host(chan.host, f"handshake: fingerprint mismatch ({mismatch})")
+            self.send(link, "reject", detail=mismatch)
+            link.host.failures += 1
+            return self.quarantine_host(
+                link.host, f"handshake: fingerprint mismatch ({mismatch})"
+            )
+        link.state = "active"
+        self.send(link, "init", **self.init_fields(link))
+
+    def on_message(self, link: _Link, message: dict[str, Any], now: float) -> None:
+        op = message["op"]
+        link.last_activity = now
+        if op == "ready":
+            link.idle = True
+            self.grant(link)
+        elif op == "heartbeat":
+            self.heartbeats += 1
+            for key in self.held(link):
+                self.queue.heartbeat(key, now)
+        elif op == "result":
+            self.on_result(link, message, now)
+        elif op == "nack":
+            if any(self.queue.leases[key].seed == message.get("seed") for key in self.held(link)):
+                self.fail_leases(link, f"error: {message.get('detail', 'worker nack')}")
+        # hello out of band, anything else ignored (future-proofing)
+
+    def on_result(self, link: _Link, message: dict[str, Any], now: float) -> None:
+        if self.cache_totals is not None and message.get("cache"):
+            self.cache_totals.merge(message["cache"])
+        seed = message.get("seed")
+        key = next((k for k in self.held(link) if self.queue.leases[k].seed == seed), None)
+        try:
+            rows = [row_from_payload(payload) for payload in message["rows"]]
+        except Exception as exc:  # noqa: BLE001 - wire payloads are hostile
+            problem = f"undecodable result rows ({exc})"
+        else:
+            cell = self.cell_by_seed.get(seed)
+            problem = (
+                "unknown cell seed"
+                if cell is None
+                else resilient.validate_cell_rows(self.spec, *cell, rows)
+            )
+        if problem is not None:
+            if key is not None:
+                self.release(key, f"corrupt: {problem}", charge_cell=True)
+            return  # corrupt stale/duplicate copies just drop
+        outcome, lease = self.queue.complete((link.id, None) if key is None else key, seed, rows)
+        if outcome != "win":
             return
-        chan.state = "active"
-        chan.send(
-            "init",
-            payload=init_payload,
-            host=chan.host.spec.name,
-            slot=chan.slot,
-            heartbeat_interval=heartbeat_interval,
-            slow=(
-                0.0
-                if host_chaos is None or chan.host.chaos_exempt
-                else host_chaos.slow_for(chan.host.spec.name)
-            ),
+        link.cells_done += 1
+        link.host.cells_done += 1
+        if self.adaptive is not None:
+            fresh = self.adaptive.on_win(lease.eps, lease.m, lease.rep, rows)
+            self.queue.add_cells([(e, m, r, self.spec.cell_seed(e, m, r)) for e, m, r in fresh])
+        self.wins.append((link, lease, rows, round((now - lease.granted_at) * 1e3, 3)))
+
+    def on_eof(self, link: _Link) -> None:
+        """The worker's output closed: it died (or never said hello)."""
+        if link.state == "hello":
+            detail = "handshake: worker exited before hello"
+        elif link.host.local:
+            link.process.join(_KILL_GRACE)
+            detail = f"crash: worker process died with exit code {link.process.exitcode}"
+        else:
+            detail = "crash: worker channel closed (host died?)"
+        self.link_fault(link, detail, died=True)
+
+    def pump(self, timeout: float | None) -> None:
+        """Block until a link has output or *timeout* passes; handle every
+        complete line that arrived."""
+        readers = {link.rfile: link for link in self.links.values() if link.live}
+        for rfile in wait(list(readers), timeout):
+            link = readers[rfile]
+            if link.rfile is not rfile:
+                continue  # torn down earlier in this pass
+            data = rfile.read(1 << 16)
+            now = time.monotonic()
+            if not data:
+                self.on_eof(link)
+                continue
+            *lines, link.buffer = (link.buffer + data).split(b"\n")
+            for raw in lines:
+                if link.rfile is not rfile:
+                    break
+                if link.state == "hello":
+                    self.handshake(link, raw)
+                    continue
+                try:
+                    messages = link.inbound.receive(raw, now)
+                except RemoteProtocolError as exc:
+                    self.link_fault(link, f"protocol: {exc}")
+                    break
+                for message in messages:
+                    self.on_message(link, message, now)
+
+    # -- leases and deadlines ------------------------------------------
+
+    def grant(self, link: _Link) -> None:
+        """Lease the next cell — or a group of fresh ones — to an idle link."""
+        queue = self.queue
+        if not (link.idle and link.state == "active" and link.live) or self.held(link):
+            return
+        now = time.monotonic()
+        active = sum(other.live and other.state == "active" for other in self.links.values())
+        size = min(self.group_size, -(-len(queue.pending) // active))  # a fair share
+        leases: list[Lease] = []
+        while len(leases) < max(size, 1):
+            if leases and not (queue.pending and not queue.pending[0].history):
+                break  # only fresh cells share a group lease
+            lease = queue.next_lease((link.id, len(leases)), now)
+            if lease is None:
+                break
+            leases.append(lease)
+            if lease.history or lease.speculative:
+                break
+        if not leases:
+            return
+        if len(leases) > 1 and self.policy.timeout is not None:
+            for lease in leases:  # one batch: the group shares one budget
+                lease.hard_deadline = now + self.policy.timeout * len(leases)
+        link.idle = False
+        link.leases += 1
+        link.host.leases_granted += 1
+        first = leases[0]
+        group = {"group": [[l.eps, l.m, l.rep, l.seed] for l in leases[1:]]} if leases[1:] else {}
+        self.send(
+            link, "lease", eps=first.eps, m=first.m, rep=first.rep, seed=first.seed,
+            attempt=first.attempt, die=self.dies(link), **group,
         )
 
-    def journal_stats(interrupted: bool) -> None:
-        if journal is None:
+    def next_wakeup(self) -> float | None:
+        """Seconds until the nearest lease, handshake or heal deadline."""
+        times = [
+            t
+            for lease in self.queue.leases.values()
+            for t in (lease.deadline, lease.hard_deadline)
+            if t is not None
+        ]
+        for link in self.links.values():
+            if link.live:
+                times.append(link.hello_deadline if link.state == "hello" else link.inbound.heal_at)
+        times = [t for t in times if t is not None]
+        return max(0.0, min(times) - time.monotonic()) if times else None
+
+    def check_deadlines(self) -> None:
+        now = time.monotonic()
+        for link in list(self.links.values()):
+            if not link.live:
+                continue
+            if link.state == "hello" and now >= link.hello_deadline:
+                self.link_fault(link, "handshake: timed out")
+            elif link.state == "active":
+                for message in link.inbound.flush(now):  # a healed partition's backlog
+                    self.on_message(link, message, now)
+        # Hard per-cell timeout: the cell is charged; the worker is torn
+        # down and relaunched without charging its domain.
+        for lease in self.queue.overdue(now):
+            if self.queue.leases.get(lease.worker) is lease:
+                link = self.links[lease.worker[0]]
+                self.fail_leases(link, "timeout: cell exceeded its timeout; worker terminated")
+                self.kill(link)
+                if not self.queue.done:
+                    self.spawn(link)
+        # Soft expiry (missed heartbeats) re-queues charge-free.  A local
+        # link is presumed hung and killed; a remote one may merely be
+        # partitioned, so it keeps running and a healed partition can
+        # still deliver its stale result (first-verified-wins).
+        for lease in self.queue.expired(now):
+            if self.queue.leases.get(lease.worker) is lease:
+                link = self.links[lease.worker[0]]
+                detail = "expired: lease deadline passed without a heartbeat"
+                if link.host.local:
+                    self.link_fault(link, detail)
+                else:
+                    self.fail_leases(link, detail, charge_cell=False)
+
+    def journal_wins(self) -> None:
+        """Record this pass's wins.  Runs after the pass's grants, so a
+        journal fsync never holds up a worker's next lease."""
+        wins, self.wins = self.wins, []
+        for i, (link, lease, rows, lease_ms) in enumerate(wins):
+            self.completed[lease.seed] = rows
+            self.manifest.cells_completed += 1
+            if lease.attempt > 1 or lease.history:
+                self.manifest.recovered += 1
+            if self.journal is not None:
+                self.journal.record_cell(
+                    lease.seed, lease.eps, lease.m, lease.rep, rows,
+                    provenance={
+                        "host": link.host.spec.name,
+                        "slot": link.slot,
+                        "worker": link.id,
+                        "attempt": lease.attempt,
+                        "heartbeats": lease.heartbeats,
+                        "lease_ms": lease_ms,
+                        "speculative": lease.speculative,
+                        "transport": "local" if link.host.local else "remote",
+                    },
+                )
+            self.new_cells += 1
+            limit = self.policy.interrupt_after
+            if limit is not None and self.new_cells >= limit and (
+                i + 1 < len(wins) or not self.queue.done
+            ):
+                raise KeyboardInterrupt  # simulated hard kill, same path as SIGINT
+
+    # -- the loop ------------------------------------------------------
+
+    def run(self) -> ResilientSweepResult:
+        try:
+            if not self.queue.done:
+                if self.host_specs is None:
+                    workers = self.policy.workers or min(
+                        len(self.queue.pending), os.cpu_count() or 2
+                    )
+                    self.add_host(HostSpec(name=LOCAL_HOST, slots=workers), local=True)
+                for spec in self.host_specs or ():
+                    self.add_host(spec, local=False)
+            while not self.queue.done:
+                for link in list(self.links.values()):
+                    self.grant(link)
+                self.pump(self.next_wakeup())
+                self.check_deadlines()
+                self.journal_wins()
+            # Every launched worker identifies itself (or times out) before
+            # the sweep reports, so a divergent host is quarantined even
+            # when the others finished the cells without it.
+            while any(link.live and link.state == "hello" for link in self.links.values()):
+                self.pump(self.next_wakeup())
+                self.check_deadlines()
+            # Drained: stop idle workers gracefully (they flush at exit),
+            # cut stragglers loose (in-flight speculative losers).
+            idle = [link for link in self.links.values() if link.live and link.idle]
+            for link in idle:
+                self.send(link, "stop")
+            deadline = time.monotonic() + _STOP_GRACE
+            for link in idle:
+                _join(link.process, max(0.0, deadline - time.monotonic()))
+            self.kill_all()
+            self.finish(interrupted=False)
+            if self.journal is not None:
+                self.journal.record_seal()
+        except KeyboardInterrupt:
+            self.kill_all()
+            self.finish(interrupted=True)
+            raise SweepInterrupted(self.result()) from None
+        except BaseException:
+            self.kill_all()
+            raise
+        finally:
+            if self.journal is not None:
+                self.journal.close()
+        return self.result()
+
+    def finish(self, *, interrupted: bool) -> None:
+        manifest = self.manifest
+        if not interrupted:
+            manifest.cells_completed = len(self.completed) - manifest.cells_replayed
+        manifest.speculated = self.queue.speculated
+        if self.adaptive is not None:
+            manifest.cells_skipped = self.adaptive.skipped
+        if self.journal is None:
             return
-        journal.record_stats(
+        links = list(self.links.values())
+        self.journal.record_stats(
             {
-                "wall_seconds": round(time.monotonic() - started, 6),
+                "wall_seconds": round(time.monotonic() - self.started, 6),
                 "interrupted": interrupted,
-                "scheduler": "elastic-remote",
+                "scheduler": SCHEDULER,
+                "workers": len(links),
+                "worker_wall_seconds": [
+                    round(max(0.0, link.last_activity - link.started_at), 6) for link in links
+                ],
+                "worker_cells": [link.cells_done for link in links],
                 "hosts": [
                     {
                         "name": host.spec.name,
                         "slots": host.spec.slots,
                         "leases": host.leases_granted,
                         "cells": host.cells_done,
-                        "failures": host.failures,
+                        "failures": host.failures
+                        + sum(link.failures for link in links if link.host is host),
                         "quarantined": host.quarantined,
                     }
-                    for host in hosts_state
+                    for host in self.hosts
                 ],
-                "leases": queue.granted,
-                "heartbeats": heartbeats_total,
-                "speculated": queue.speculated,
+                "leases": self.queue.granted,
+                "heartbeats": self.heartbeats,
+                "speculated": self.queue.speculated,
                 "cells_completed": manifest.cells_completed,
                 "cells_replayed": manifest.cells_replayed,
+                "cells_skipped": manifest.cells_skipped,
                 "recovered": manifest.recovered,
                 "retries": manifest.retries,
                 "quarantined": manifest.quarantined,
+                "workers_quarantined": manifest.workers_quarantined,
                 "hosts_quarantined": manifest.hosts_quarantined,
                 "degraded_to_local": manifest.degraded_to_local,
-                "cache": None,
+                "cache": None if self.cache_totals is None else self.cache_totals.as_dict(),
             }
         )
 
-    def kill_all() -> None:
-        for chan in channels.values():
-            _kill_process(chan.process)
-            chan.process = None
-
-    for host in hosts_state:
-        add_host(host)
-
-    try:
-        while not queue.done:
-            now = time.monotonic()
-            progressed = False
-
-            # Drain the inbox (reader threads push lines + EOF markers).
-            while True:
-                try:
-                    worker_id, generation, raw = inbox.get_nowait()
-                except queue_mod.Empty:
-                    break
-                chan = channels.get(worker_id)
-                if chan is None or generation != chan.generation:
-                    continue  # stale line from a killed process generation
-                progressed = True
-                if raw is None:
-                    # Channel EOF: the worker process died — a host fault.
-                    detail = (
-                        "handshake: worker exited before hello"
-                        if chan.state == "hello"
-                        else "crash: worker channel closed (host died?)"
-                    )
-                    host_fault(chan.host, chan, detail)
-                    continue
-                if chan.state == "hello":
-                    handle_hello(chan, raw)
-                    continue
-                try:
-                    messages = chan.link.receive(raw, now)
-                except RemoteProtocolError as exc:
-                    host_fault(chan.host, chan, f"protocol: {exc}")
-                    continue
-                for message in messages:
-                    handle_message(chan, message)
-
-            now = time.monotonic()
-            for chan in list(channels.values()):
-                if not chan.live:
-                    continue
-                # Healed partitions deliver their backlog late.
-                if chan.state == "active" and chan.link is not None:
-                    for message in chan.link.flush(now):
-                        progressed = True
-                        handle_message(chan, message)
-                # Handshake deadline: a host that cannot say hello in time.
-                if chan.state == "hello" and now >= chan.hello_deadline:
-                    host_fault(chan.host, chan, "handshake: timed out")
-                    progressed = True
-                    continue
-                # Grant work to idle channels.
-                if (
-                    chan.state == "active"
-                    and chan.idle
-                    and chan.worker_id not in queue.leases
-                ):
-                    lease = queue.next_lease(chan.worker_id, time.monotonic())
-                    if lease is not None:
-                        chan.idle = False
-                        chan.host.leases_granted += 1
-                        die = (
-                            host_chaos is not None
-                            and not chan.host.chaos_exempt
-                            and host_chaos.dies_on_lease(
-                                chan.host.spec.name, chan.host.leases_granted
-                            )
-                        )
-                        chan.send(
-                            "lease",
-                            eps=lease.eps,
-                            m=lease.m,
-                            rep=lease.rep,
-                            seed=lease.seed,
-                            attempt=lease.attempt,
-                            die=bool(die),
-                        )
-                        progressed = True
-
-            now = time.monotonic()
-            # Hard per-cell timeout: the cell is charged; the worker is
-            # torn down and the channel relaunched (same as local elastic).
-            for lease in queue.overdue(now):
-                chan = channels.get(lease.worker)
-                if chan is None:
-                    continue
-                cell_fault(
-                    chan, "timeout: cell exceeded its timeout; worker terminated"
-                )
-                _kill_process(chan.process)
-                chan.process = None
-                spawn_channel(chan)
-                progressed = True
-            # Soft lease expiry: missed heartbeats.  The cell requeues
-            # charge-free and the host is NOT charged — a partitioned
-            # host is indistinguishable from a dead one from here, and
-            # the channel is left running so a healed partition can
-            # still deliver its stale result (first-verified-wins).
-            for lease in queue.expired(now):
-                if lease.worker not in queue.leases:
-                    continue  # already handled above this tick
-                chan = channels.get(lease.worker)
-                detail = "expired: lease deadline passed without a heartbeat"
-                if chan is None:
-                    queue.release(lease.worker, detail, charge_cell=False)
-                else:
-                    release_channel(chan, detail)
-                progressed = True
-
-            if not progressed:
-                time.sleep(_POLL_INTERVAL)
-
-        # Drained: stop idle workers gracefully, cut stragglers loose.
-        for chan in channels.values():
-            if chan.process is not None and chan.idle:
-                chan.send("stop")
-        deadline = time.monotonic() + 1.0
-        for chan in channels.values():
-            if chan.process is not None and chan.idle:
-                try:
-                    chan.process.wait(max(0.0, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    pass
-        kill_all()
-
-        manifest.cells_completed = len(completed) - manifest.cells_replayed
-        manifest.speculated = queue.speculated
-        journal_stats(interrupted=False)
-        if journal is not None:
-            journal.record_seal()
-    except KeyboardInterrupt:
-        kill_all()
-        manifest.speculated = queue.speculated
-        journal_stats(interrupted=True)
-        partial = _assemble(spec, cells, completed, manifest, journal, None)
-        raise SweepInterrupted(partial) from None
-    except BaseException:
-        kill_all()
-        raise
-    finally:
-        if journal is not None:
-            journal.close()
-
-    return _assemble(spec, cells, completed, manifest, journal, None)
+    def result(self) -> ResilientSweepResult:
+        return _assemble(
+            self.spec, self.cells, self.completed, self.manifest, self.journal,
+            self.cache_totals,
+        )
 
 
 __all__ = [
@@ -1006,9 +1186,11 @@ __all__ = [
     "HostLink",
     "HostSpec",
     "LOCAL_FALLBACK_HOST",
+    "LOCAL_HOST",
     "REMOTE_OPS",
     "REMOTE_PROTOCOL_VERSION",
     "RemoteProtocolError",
+    "SCHEDULER",
     "code_fingerprint",
     "decode_message",
     "encode_message",
@@ -1017,4 +1199,5 @@ __all__ = [
     "load_hosts",
     "message_crc",
     "resolve_hosts",
+    "run_lease_loop",
 ]

@@ -1,26 +1,22 @@
-"""Fault-tolerant sweep execution.
+"""Fault-tolerant sweep execution: cell evaluation, validation, results.
 
-The scheduler core here is the production path for long benchmark grids,
-reached through :func:`repro.workloads.execute.execute_sweep` (the
-deprecated :func:`run_sweep_resilient` shim remains for old callers).
-Where :func:`repro.workloads.parallel.run_sweep_parallel` was
-all-or-nothing — one crashed or hung worker raised out of the pool and
-discarded every completed cell — this runner treats cell failure as a
-normal event:
+Every multiprocess sweep runs the lease loop of
+:mod:`repro.workloads.remote`, reached through
+:func:`repro.workloads.execute.execute_sweep`.  This module holds what
+that loop and the serial path share, and what a sweep returns:
 
-* each cell runs in a **fresh worker process** with an optional per-cell
-  **timeout** (hung workers are terminated, not waited on);
-* failed cells are **retried** with exponential backoff, up to
-  ``max_retries`` times, each retry in a brand-new process;
-* cells that exhaust their budget are **quarantined** and reported in a
-  structured :class:`FailureManifest` — the sweep still returns every
-  completed row (graceful degradation) instead of throwing them away;
-* results are **validated** before acceptance, so a worker returning
-  corrupted rows counts as a failure rather than polluting the dataset;
-* completed cells are checkpointed to an append-only JSONL **journal**
-  (:mod:`repro.workloads.journal`); ``resume=True`` replays them from
-  disk and re-executes only the remainder, bit-identical to an
-  uninterrupted run;
+* :func:`run_cell` / :func:`run_cells` evaluate grid cells (workers call
+  them; the serial path calls them in process);
+* :func:`validate_cell_rows` checks a worker's result before acceptance,
+  so a worker returning corrupted rows counts as a failure rather than
+  polluting the dataset;
+* :func:`prepare_journal` opens (or resumes) the append-only JSONL
+  checkpoint journal (:mod:`repro.workloads.journal`); ``resume=True``
+  replays completed cells from disk and re-executes only the remainder,
+  bit-identical to an uninterrupted run;
+* :class:`FailureManifest` reports quarantined cells, worker slots and
+  hosts — the sweep still returns every completed row (graceful
+  degradation) instead of throwing them away;
 * ``SIGINT`` raises :class:`SweepInterrupted` carrying the partial
   result, after flushing the journal — nothing finished is ever lost.
 
@@ -38,23 +34,14 @@ import multiprocessing as mp
 import os
 import pickle
 import time
-import warnings
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.baselines.registry import run_algorithm
 from repro.core.guarantees import guarantee_for
 from repro.offline.cache import BracketCache, CacheStats
 from repro.workloads.journal import SweepJournal, spec_fingerprint
 from repro.workloads.sweep import SweepRow, SweepSpec, cell_bracket
-from repro.workloads.transport import decorrelated_delay
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.testing.chaos import ChaosPlan
-
-#: How long the scheduler sleeps between reap polls (seconds).
-_POLL_INTERVAL = 0.005
 
 #: Grace period between SIGTERM and SIGKILL when reaping a worker.
 _KILL_GRACE = 0.5
@@ -105,7 +92,7 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class WorkerFailure:
-    """One quarantined worker *slot* (elastic mode), failure by failure.
+    """One quarantined local worker *slot*, failure by failure.
 
     Cell failures quarantine cells; worker failures quarantine the slot —
     a host/process position that keeps crashing, hanging or missing
@@ -130,7 +117,7 @@ class WorkerFailure:
 
 @dataclass(frozen=True)
 class HostFailure:
-    """One quarantined remote *host* (remote-elastic mode).
+    """One quarantined remote *host*.
 
     A whole machine is a failure domain above the worker slot: when a
     host dies (every channel EOF), repeatedly fails its handshake, or
@@ -167,15 +154,15 @@ class FailureManifest:
     cells_completed: int = 0
     #: cells replayed from a checkpoint journal instead of re-executed.
     cells_replayed: int = 0
-    #: worker slots quarantined after exhausting their failure budget
-    #: (elastic mode only; the pool shrinks gracefully to a floor of 1).
+    #: local worker slots quarantined after exhausting their failure
+    #: budget (the pool shrinks gracefully to a floor of 1).
     worker_failures: list[WorkerFailure] = field(default_factory=list)
     #: speculative duplicate executions launched during the end-game.
     speculated: int = 0
     #: repetitions skipped by adaptive repetitions (CI already tight).
     cells_skipped: int = 0
-    #: remote hosts quarantined as whole failure domains (remote mode
-    #: only; their leases were requeued charge-free).
+    #: remote hosts quarantined as whole failure domains (their leases
+    #: were requeued charge-free).
     host_failures: list[HostFailure] = field(default_factory=list)
     #: the remote pool was lost entirely and the sweep finished on the
     #: local fallback workers (graceful degradation, not data loss).
@@ -248,7 +235,7 @@ class ResilientSweepResult:
 
 
 # ---------------------------------------------------------------------------
-# cell evaluation (shared with the thin pool-compatible wrapper)
+# cell evaluation (workers and the serial path)
 # ---------------------------------------------------------------------------
 
 
@@ -420,129 +407,8 @@ def validate_cell_rows(
 
 
 # ---------------------------------------------------------------------------
-# worker process
+# worker teardown
 # ---------------------------------------------------------------------------
-
-
-def _cell_worker(
-    conn,
-    spec: SweepSpec,
-    eps: float,
-    m: int,
-    rep: int,
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    chaos: "ChaosPlan | None",
-    attempt: int,
-    cache: BracketCache | None = None,
-) -> None:
-    """Run one cell in a dedicated process; report over a pipe.
-
-    Sends ``("ok", rows, cache_stats)`` or ``("error", detail, None)``.
-    A crash (or an injected one) sends nothing — the parent detects the
-    dead process.  ``cache_stats`` is the worker's bracket-cache counter
-    dict (the cache object itself ships as configuration only, so each
-    fresh process opens the shared disk tier with zeroed stats).
-    """
-    try:
-        fault = None
-        if chaos is not None:
-            fault = chaos.fault_for(spec.cell_seed(eps, m, rep), attempt)
-            chaos.trigger(fault)  # may _exit, hang, or raise
-        rows = run_cell(spec, eps, m, rep, algorithm_kwargs, cache)
-        if fault == "corrupt":
-            rows = chaos.corrupt_rows(rows)
-        conn.send(("ok", rows, None if cache is None else cache.stats.as_dict()))
-    except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}", None))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
-def _group_worker(
-    conn,
-    spec: SweepSpec,
-    cells: list[tuple[float, int, int]],
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    backend: str,
-    cache: BracketCache | None = None,
-) -> None:
-    """Run a *group lease* of cells in one process; report over a pipe.
-
-    Sends ``("ok", [rows, ...], cache_stats)`` with one row list per cell
-    in order.  Group leases exist so the batch backend amortises its
-    structure-of-arrays setup over many compatible cells per process; the
-    parent demotes a failed group to per-cell scalar attempts, so fault
-    isolation is unchanged.
-    """
-    try:
-        rows_per_cell = run_cells(spec, cells, algorithm_kwargs, cache, backend=backend)
-        conn.send(
-            ("ok", rows_per_cell, None if cache is None else cache.stats.as_dict())
-        )
-    except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}", None))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
-#: Cells per group lease when the resilient scheduler may batch.
-_GROUP_CELLS = 8
-
-
-@dataclass
-class _Attempt:
-    """One scheduled execution of a cell (or of a group lease of cells)."""
-
-    eps: float
-    m: int
-    rep: int
-    seed: int
-    attempt: int  # 1-based
-    ready_at: float  # monotonic time before which this must not launch
-    history: tuple[str, ...] = ()
-    #: group lease: (eps, m, rep, seed) per member; ``None`` = single cell.
-    group: tuple[tuple[float, int, int, int], ...] | None = None
-
-
-@dataclass
-class _Active:
-    task: _Attempt
-    process: mp.process.BaseProcess
-    conn: Any
-    deadline: float | None
-
-
-def _reap(active: _Active) -> tuple[str, Any, Any] | None:
-    """Non-blocking check of a worker; returns an outcome or ``None``.
-
-    Outcomes: ``("ok", rows, cache_stats)``, ``("error", detail, None)``,
-    ``("crash", detail, None)``, ``("timeout", detail, None)``.
-    """
-    if active.conn.poll():
-        try:
-            status, payload, extra = active.conn.recv()
-        except (EOFError, OSError):
-            status, payload, extra = (
-                "crash",
-                "worker closed the pipe without a result",
-                None,
-            )
-        active.process.join()
-        return (status, payload, extra)
-    if not active.process.is_alive():
-        # Exited without sending: died before (or while) reporting.
-        code = active.process.exitcode
-        return ("crash", f"worker process died with exit code {code}", None)
-    if active.deadline is not None and time.monotonic() >= active.deadline:
-        _terminate(active.process)
-        return ("timeout", "cell exceeded its timeout; worker terminated", None)
-    return None
 
 
 def _terminate(
@@ -590,7 +456,7 @@ def _terminate_all(
 
 
 # ---------------------------------------------------------------------------
-# shared scheduler plumbing (push scheduler here, pull scheduler in elastic)
+# shared sweep plumbing (the lease loop and the serial path)
 # ---------------------------------------------------------------------------
 
 
@@ -622,9 +488,7 @@ def prepare_journal(
 ) -> tuple[SweepJournal | None, dict[int, list[SweepRow]]]:
     """Open (or create) the checkpoint journal and replay completed cells.
 
-    Shared by the push scheduler here and the pull scheduler in
-    :mod:`repro.workloads.elastic`, so both modes get identical journal
-    creation, resume validation, salvage and replay semantics.  Returns
+    Returns
     ``(journal, completed)`` where ``completed`` maps cell seed to the
     rows replayed from disk (restricted to *cells* — a merged journal may
     hold more than this shard executes).
@@ -647,394 +511,6 @@ def prepare_journal(
     elif resume:
         raise ValueError("resume=True requires a journal_path")
     return journal, completed
-
-
-# ---------------------------------------------------------------------------
-# the scheduler
-# ---------------------------------------------------------------------------
-
-
-def run_sweep_resilient(
-    spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]] | None = None,
-    *,
-    max_workers: int | None = None,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    backoff: float = 0.25,
-    journal_path: str | os.PathLike[str] | None = None,
-    resume: bool = False,
-    chaos: "ChaosPlan | None" = None,
-    interrupt_after: int | None = None,
-    cache: BracketCache | None = None,
-) -> ResilientSweepResult:
-    """Execute *spec* fault-tolerantly across fresh worker processes.
-
-    .. deprecated:: 1.0
-        Legacy entrypoint, kept as a thin shim; it will be removed in
-        version 2.0.  Use :func:`repro.workloads.execute.execute_sweep`
-        with an :class:`~repro.workloads.execute.ExecutionPolicy` — it
-        carries these keyword arguments as policy fields and adds
-        sharding.
-    """
-    warnings.warn(
-        "run_sweep_resilient is deprecated; use "
-        "repro.workloads.execute.execute_sweep(spec, ExecutionPolicy(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if resume and journal_path is None:
-        raise ValueError("resume=True requires a journal_path")
-    from repro.workloads.execute import ExecutionPolicy, execute_sweep
-
-    policy = ExecutionPolicy(
-        parallel=True,
-        workers=max_workers,
-        timeout=timeout,
-        retries=max_retries,
-        backoff=backoff,
-        journal=journal_path,
-        resume=resume,
-        cache=cache,
-        chaos=chaos,
-        interrupt_after=interrupt_after,
-    )
-    return execute_sweep(spec, policy, algorithm_kwargs)
-
-
-def _execute_resilient(
-    spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]] | None = None,
-    *,
-    max_workers: int | None = None,
-    timeout: float | None = None,
-    max_retries: int = 2,
-    backoff: float = 0.25,
-    journal_path: str | os.PathLike[str] | None = None,
-    resume: bool = False,
-    chaos: "ChaosPlan | None" = None,
-    interrupt_after: int | None = None,
-    cache: BracketCache | None = None,
-    cells: list[tuple[float, int, int]] | None = None,
-    shard: tuple[int, int] | None = None,
-    salvage: bool = False,
-    backend: str = "scalar",
-) -> ResilientSweepResult:
-    """Scheduler core behind :func:`repro.workloads.execute.execute_sweep`.
-
-    Parameters beyond the classic runner:
-
-    ``timeout``
-        per-cell wall-clock budget in seconds; a cell that exceeds it is
-        terminated and counted as a ``timeout`` failure (then retried).
-    ``max_retries``
-        extra attempts per cell after the first, each in a fresh process,
-        delayed by a decorrelated-jittered exponential backoff bounded
-        by ``backoff * 2**(attempt-1)`` seconds (salted by the cell seed
-        under ``spec.base_seed``, so concurrent retries desynchronise
-        deterministically — see
-        :func:`repro.workloads.transport.decorrelated_delay`).
-    ``journal_path`` / ``resume``
-        checkpoint completed cells to an append-only JSONL journal; with
-        ``resume=True`` the journal is validated against the spec and its
-        completed cells are replayed from disk, bit-identically.
-    ``chaos``
-        a :class:`repro.testing.chaos.ChaosPlan` shipped to every worker
-        (fault-injection for tests; ``None`` in production).
-    ``interrupt_after``
-        testing hook: raise :class:`SweepInterrupted` — through the same
-        flush path as a real ``SIGINT`` — once this many *new* cells have
-        been journaled.
-    ``cache``
-        a :class:`repro.offline.cache.BracketCache` shared by every
-        worker.  Only its configuration is pickled to workers — each
-        fresh process opens the shared on-disk tier itself (atomic-rename
-        writes make concurrent writers safe) — and the per-worker
-        hit/miss counters are aggregated into ``result.cache_stats``.
-    ``cells``
-        restrict execution to this subset of the grid (a shard produced
-        by :class:`repro.workloads.sharding.ShardPlan`); ``None`` runs
-        the full grid.  Cell seeds are unchanged — a sharded cell is
-        bit-identical to the same cell in a single-host run.
-    ``shard``
-        ``(shard_index, n_shards)`` stamp written into (and validated
-        against) the journal header, so shard journals can never be
-        resumed under different shard flags or merged into the wrong run.
-    ``salvage``
-        with ``resume=True``, repair a journal damaged mid-file (bit
-        flips, failed transfers) instead of raising
-        :class:`~repro.workloads.journal.JournalIntegrityError`: corrupt
-        records are quarantined, the file is rewritten clean, and the
-        affected cells are simply re-executed.
-
-    ``backend``
-        kernel backend for the simulations (see
-        :mod:`repro.engine.backend`).  With a non-scalar backend — and no
-        chaos plan or interrupt hook — pending cells are dispatched as
-        *group leases* of up to ``_GROUP_CELLS`` cells per worker so the
-        batch kernel amortises across compatible cells.  A failed lease is
-        demoted to independent per-cell scalar attempts, so retry
-        semantics, validation and journaling stay per-cell.
-
-    Returns a :class:`ResilientSweepResult`; never raises for individual
-    cell failures (see ``result.manifest``).
-    """
-    algorithm_kwargs = algorithm_kwargs or {}
-    validate_sweep_pickles(spec, algorithm_kwargs)
-
-    cells = list(spec.cells()) if cells is None else list(cells)
-    check_seed_collisions(spec, cells)
-    manifest = FailureManifest(cells_total=len(cells))
-    journal, completed = prepare_journal(
-        spec, cells, journal_path, resume=resume, shard=shard, salvage=salvage
-    )
-    manifest.cells_replayed = len(completed)
-
-    todo = [
-        (eps, m, rep, seed)
-        for eps, m, rep in cells
-        if (seed := spec.cell_seed(eps, m, rep)) not in completed
-    ]
-    grouping = backend != "scalar" and chaos is None and interrupt_after is None
-    pending: deque[_Attempt] = deque()
-    if grouping:
-        for lo in range(0, len(todo), _GROUP_CELLS):
-            members = tuple(todo[lo : lo + _GROUP_CELLS])
-            eps, m, rep, seed = members[0]
-            pending.append(
-                _Attempt(eps, m, rep, seed, attempt=1, ready_at=0.0, group=members)
-            )
-    else:
-        pending.extend(
-            _Attempt(eps, m, rep, seed, attempt=1, ready_at=0.0)
-            for eps, m, rep, seed in todo
-        )
-    workers = max_workers or min(len(pending) or 1, os.cpu_count() or 2)
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    active: list[_Active] = []
-    new_cells = 0
-    cache_totals = CacheStats() if cache is not None else None
-    started = time.monotonic()
-
-    def partial_result() -> ResilientSweepResult:
-        return _assemble(spec, cells, completed, manifest, journal, cache_totals)
-
-    def journal_stats(interrupted: bool) -> None:
-        if journal is None:
-            return
-        journal.record_stats(
-            {
-                "wall_seconds": round(time.monotonic() - started, 6),
-                "interrupted": interrupted,
-                "scheduler": "static",
-                "workers": workers,
-                "cells_completed": manifest.cells_completed,
-                "cells_replayed": manifest.cells_replayed,
-                "recovered": manifest.recovered,
-                "retries": manifest.retries,
-                "quarantined": manifest.quarantined,
-                "cache": None if cache_totals is None else cache_totals.as_dict(),
-            }
-        )
-
-    try:
-        while pending or active:
-            now = time.monotonic()
-            # Launch ready attempts into free slots.
-            while len(active) < workers and pending:
-                launchable = next((t for t in pending if t.ready_at <= now), None)
-                if launchable is None:
-                    break
-                pending.remove(launchable)
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                if launchable.group is not None:
-                    proc = ctx.Process(
-                        target=_group_worker,
-                        args=(
-                            child_conn,
-                            spec,
-                            [(e, mm, r) for e, mm, r, _ in launchable.group],
-                            algorithm_kwargs,
-                            backend,
-                            cache,
-                        ),
-                        daemon=True,
-                    )
-                    budget = None if timeout is None else timeout * len(launchable.group)
-                else:
-                    proc = ctx.Process(
-                        target=_cell_worker,
-                        args=(
-                            child_conn,
-                            spec,
-                            launchable.eps,
-                            launchable.m,
-                            launchable.rep,
-                            algorithm_kwargs,
-                            chaos,
-                            launchable.attempt,
-                            cache,
-                        ),
-                        daemon=True,
-                    )
-                    budget = timeout
-                proc.start()
-                child_conn.close()
-                deadline = None if budget is None else now + budget
-                active.append(_Active(launchable, proc, parent_conn, deadline))
-
-            # Reap finished / dead / overdue workers.
-            still_active: list[_Active] = []
-            for entry in active:
-                outcome = _reap(entry)
-                if outcome is None:
-                    still_active.append(entry)
-                    continue
-                entry.conn.close()
-                status, payload, worker_cache = outcome
-                task = entry.task
-                if task.group is not None:
-                    if status == "ok":
-                        good, bad = _split_group_payload(spec, task, payload)
-                        if cache_totals is not None and worker_cache and good:
-                            cache_totals.merge(worker_cache)
-                        for (g_eps, g_m, g_rep, g_seed), rows in good:
-                            completed[g_seed] = rows
-                            manifest.cells_completed += 1
-                            if journal is not None:
-                                journal.record_cell(g_seed, g_eps, g_m, g_rep, rows)
-                            new_cells += 1
-                        demote = [(member, detail) for member, detail in bad]
-                    else:
-                        demote = [
-                            (member, f"{status}: {payload}") for member in task.group
-                        ]
-                    # Demote failed lease members to independent per-cell
-                    # attempts with a fresh budget; the lease itself spends
-                    # no retries (each member's own failures count).
-                    for (g_eps, g_m, g_rep, g_seed), detail in demote:
-                        pending.append(
-                            _Attempt(
-                                g_eps,
-                                g_m,
-                                g_rep,
-                                g_seed,
-                                attempt=1,
-                                ready_at=time.monotonic()
-                                + decorrelated_delay(
-                                    backoff, 1, seed=spec.base_seed, salt=g_seed
-                                ),
-                                history=(f"group-lease {detail}",),
-                            )
-                        )
-                    continue
-                if status == "ok":
-                    problem = validate_cell_rows(spec, task.eps, task.m, task.rep, payload)
-                    if problem is None:
-                        completed[task.seed] = payload
-                        if cache_totals is not None and worker_cache:
-                            cache_totals.merge(worker_cache)
-                        manifest.cells_completed += 1
-                        if task.attempt > 1 or task.history:
-                            manifest.recovered += 1
-                        if journal is not None:
-                            journal.record_cell(
-                                task.seed, task.eps, task.m, task.rep, payload
-                            )
-                        new_cells += 1
-                        if (
-                            interrupt_after is not None
-                            and new_cells >= interrupt_after
-                            and len(completed) < len(cells)
-                        ):
-                            # Simulated hard kill: in-flight workers are
-                            # abandoned exactly as a real SIGINT would.
-                            raise KeyboardInterrupt
-                        continue
-                    status, payload = "corrupt", problem
-                # A failure (error / crash / timeout / corrupt): retry or quarantine.
-                history = task.history + (f"{status}: {payload}",)
-                if task.attempt <= max_retries:
-                    manifest.retries += 1
-                    pending.append(
-                        _Attempt(
-                            task.eps,
-                            task.m,
-                            task.rep,
-                            task.seed,
-                            attempt=task.attempt + 1,
-                            ready_at=time.monotonic()
-                            + decorrelated_delay(
-                                backoff,
-                                task.attempt,
-                                seed=spec.base_seed,
-                                salt=task.seed,
-                            ),
-                            history=history,
-                        )
-                    )
-                else:
-                    failure = CellFailure(
-                        epsilon=task.eps,
-                        machines=task.m,
-                        repetition=task.rep,
-                        seed=task.seed,
-                        attempts=task.attempt,
-                        kind=status,
-                        detail=str(payload),
-                        history=history,
-                    )
-                    manifest.failures.append(failure)
-                    if journal is not None:
-                        journal.record_failure(failure.as_dict())
-            active = still_active
-            if pending or active:
-                time.sleep(_POLL_INTERVAL)
-        manifest.cells_completed = len(completed) - manifest.cells_replayed
-        journal_stats(interrupted=False)
-        if journal is not None:
-            # Clean exit: seal the journal so the transport/merge layer can
-            # verify it arrived bit-identical (repro verify / collect).
-            journal.record_seal()
-    except KeyboardInterrupt:
-        _terminate_all([entry.process for entry in active])
-        for entry in active:
-            entry.conn.close()
-        journal_stats(interrupted=True)
-        raise SweepInterrupted(partial_result()) from None
-    finally:
-        if journal is not None:
-            journal.close()
-
-    return _assemble(spec, cells, completed, manifest, journal, cache_totals)
-
-
-def _split_group_payload(
-    spec: SweepSpec, task: _Attempt, payload: object
-) -> tuple[list, list]:
-    """Validate a group lease's payload; (good, bad) member lists.
-
-    ``good`` holds ``(member, rows)`` for cells whose rows validate;
-    ``bad`` holds ``(member, detail)`` for the rest.  A malformed payload
-    (wrong type or length) condemns every member.
-    """
-    members = task.group or ()
-    if not isinstance(payload, list) or len(payload) != len(members):
-        size = len(payload) if isinstance(payload, list) else "n/a"
-        detail = (
-            f"corrupt: group payload is {type(payload).__name__} of length "
-            f"{size}, expected {len(members)} row lists"
-        )
-        return [], [(member, detail) for member in members]
-    good, bad = [], []
-    for member, rows in zip(members, payload):
-        g_eps, g_m, g_rep, _ = member
-        problem = validate_cell_rows(spec, g_eps, g_m, g_rep, rows)
-        if problem is None:
-            good.append((member, rows))
-        else:
-            bad.append((member, f"corrupt: {problem}"))
-    return good, bad
 
 
 def _assemble(
@@ -1069,7 +545,6 @@ __all__ = [
     "prepare_journal",
     "run_cell",
     "run_cells",
-    "run_sweep_resilient",
     "spec_fingerprint",
     "validate_cell_rows",
     "validate_sweep_pickles",

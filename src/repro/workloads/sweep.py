@@ -5,8 +5,7 @@ repetitions, a workload factory and a list of algorithm names — executed
 with per-cell deterministic seeds (derived via ``SeedSequence``-style
 folding so results are independent of execution order) into flat rows
 ready for the table/plot layer.  Execution itself lives in
-:func:`repro.workloads.execute.execute_sweep`; the historical
-:func:`run_sweep` remains as a deprecated serial shim.
+:func:`repro.workloads.execute.execute_sweep`.
 
 Every run goes through :func:`repro.baselines.registry.run_algorithm` and
 therefore through the shared simulation kernel: sweep cells carry exactly
@@ -17,7 +16,6 @@ run's ``detail.meta``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -144,31 +142,6 @@ def cell_bracket(
         cache=cache,
         **({"exact_limit": spec.exact_limit} if spec.exact_limit is not None else {}),
     )
-
-
-def run_sweep(
-    spec: SweepSpec,
-    algorithm_kwargs: dict[str, dict[str, Any]] | None = None,
-    cache: BracketCache | None = None,
-) -> list[SweepRow]:
-    """Execute *spec* serially; returns one row per (cell, algorithm).
-
-    .. deprecated:: 1.0
-        Legacy entrypoint, kept as a thin shim; it will be removed in
-        version 2.0.  Use :func:`repro.workloads.execute.execute_sweep` —
-        the default :class:`~repro.workloads.execute.ExecutionPolicy` is
-        exactly this serial in-process path and the rows are
-        bit-identical.
-    """
-    warnings.warn(
-        "run_sweep is deprecated; use repro.workloads.execute.execute_sweep"
-        "(spec) — the default ExecutionPolicy is the serial path",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.workloads.execute import ExecutionPolicy, execute_sweep
-
-    return execute_sweep(spec, ExecutionPolicy(cache=cache), algorithm_kwargs).rows
 
 
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:

@@ -62,7 +62,7 @@ class TestGenerateReport:
         text = generate_report(["sharding"])
         assert "## Sharded execution" in text
         assert "straggler ratio" in text
-        assert "elastic x2" in text  # scheduler + worker count stamped
+        assert "lease x2" in text  # scheduler + worker count stamped
         assert "bit-identical to the single-host run: **yes**" in text
 
     def test_elastic_section(self):

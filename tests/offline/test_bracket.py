@@ -46,8 +46,3 @@ class TestBracket:
         assert isinstance(gap, float)
         assert gap == pytest.approx(b.gap / b.upper)
 
-    def test_relative_gap_call_form_is_deprecated(self):
-        b = opt_bracket(random_instance(8, 2, 0.2, seed=3))
-        with pytest.warns(DeprecationWarning, match="drop the call parentheses"):
-            called = b.relative_gap()
-        assert called == b.relative_gap

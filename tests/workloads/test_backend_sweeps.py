@@ -117,7 +117,7 @@ class TestExecuteSweepBackends:
         spec = _spec()
         serial = execute_sweep(spec, ExecutionPolicy(backend="scalar"))
         grouped = execute_sweep(
-            spec, ExecutionPolicy(parallel=True, workers=2, backend="batch")
+            spec, ExecutionPolicy(workers=2, backend="batch")
         )
         assert _rows_key(grouped.rows) == _rows_key(serial.rows)
         assert grouped.manifest.cells_completed == grouped.manifest.cells_total
@@ -130,7 +130,7 @@ class TestExecuteSweepBackends:
             path = tmp_path / f"{backend}.jsonl"
             result = execute_sweep(
                 spec,
-                ExecutionPolicy(parallel=True, journal=str(path), backend=backend),
+                ExecutionPolicy(journal=str(path), backend=backend),
             )
             assert not result.manifest.failures
             paths[backend] = path
@@ -152,12 +152,12 @@ class TestExecuteSweepBackends:
         spec = _spec()
         path = tmp_path / "sweep.jsonl"
         first = execute_sweep(
-            spec, ExecutionPolicy(parallel=True, journal=str(path), backend="auto")
+            spec, ExecutionPolicy(journal=str(path), backend="auto")
         )
         resumed = execute_sweep(
             spec,
             ExecutionPolicy(
-                parallel=True, journal=str(path), resume=True, backend="auto"
+                journal=str(path), resume=True, backend="auto"
             ),
         )
         assert _rows_key(resumed.rows) == _rows_key(first.rows)
@@ -177,7 +177,7 @@ class TestGroupLeaseDemotion:
         result = execute_sweep(
             spec,
             ExecutionPolicy(
-                parallel=True, workers=2, retries=1, backoff=0.01, backend="batch"
+                workers=2, retries=1, backend="batch"
             ),
         )
         manifest = result.manifest
@@ -197,7 +197,7 @@ class TestGroupLeaseDemotion:
         scalar = execute_sweep(
             spec,
             ExecutionPolicy(
-                parallel=True, workers=2, retries=1, backoff=0.01, backend="scalar"
+                workers=2, retries=1, backend="scalar"
             ),
         )
         assert _rows_key(result.rows) == _rows_key(scalar.rows)
@@ -209,10 +209,8 @@ class TestGroupLeaseDemotion:
         result = execute_sweep(
             spec,
             ExecutionPolicy(
-                parallel=True,
                 workers=2,
                 retries=2,
-                backoff=0.01,
                 backend="batch",
                 chaos=ChaosPlan(),
             ),

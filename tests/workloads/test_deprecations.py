@@ -1,19 +1,14 @@
-"""The PR-4 deprecation cycle: every shim warns once, at the call site.
+"""The surfaces that replaced the removed 1.x shims run warning-free.
 
-Four legacy surfaces survive as ``DeprecationWarning`` shims —
 ``run_sweep``, ``run_sweep_parallel``, ``run_sweep_resilient`` and the
-``OptBracket.relative_gap()`` call form.  CI runs the suite under
-``-W error::DeprecationWarning``, so these tests pin two things the
-functional shim tests don't: the warning is *attributed to the caller's
-line* (``stacklevel=2`` — an errored warning points users at their own
-code, not at the shim's internals), and the replacement surfaces emit no
-deprecation noise of their own.
+``OptBracket.relative_gap()`` call form were removed in 2.0.  CI runs the
+suite under ``-W error::DeprecationWarning``, so these tests pin that
+their replacements — ``execute_sweep`` and the ``relative_gap`` property —
+emit no deprecation noise of their own.
 """
 
 import warnings
 from functools import partial
-
-import pytest
 
 from repro.offline.bracket import opt_bracket
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
@@ -32,66 +27,6 @@ def _spec() -> SweepSpec:
     )
 
 
-def _sole_deprecation(
-    recorded: list[warnings.WarningMessage],
-) -> warnings.WarningMessage:
-    deprecations = [
-        r for r in recorded if issubclass(r.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1, (
-        f"expected exactly one DeprecationWarning, got "
-        f"{[str(r.message) for r in deprecations]}"
-    )
-    return deprecations[0]
-
-
-class TestShimWarningsAttributeToCallSite:
-    """Each shim's warning names this file — not the shim module."""
-
-    def test_run_sweep(self):
-        from repro.workloads.sweep import run_sweep
-
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            rows = run_sweep(_spec())
-        record = _sole_deprecation(recorded)
-        assert "run_sweep is deprecated" in str(record.message)
-        assert record.filename == __file__
-        assert rows  # the shim still delegates to the real path
-
-    def test_run_sweep_parallel(self):
-        from repro.workloads.parallel import run_sweep_parallel
-
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            rows = run_sweep_parallel(_spec(), max_workers=1)
-        record = _sole_deprecation(recorded)
-        assert "run_sweep_parallel is deprecated" in str(record.message)
-        assert record.filename == __file__
-        assert rows
-
-    def test_run_sweep_resilient(self):
-        from repro.workloads.resilient import run_sweep_resilient
-
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            result = run_sweep_resilient(_spec(), max_workers=1)
-        record = _sole_deprecation(recorded)
-        assert "run_sweep_resilient is deprecated" in str(record.message)
-        assert record.filename == __file__
-        assert result.complete
-
-    def test_relative_gap_call_form(self, tiny_instance):
-        bracket = opt_bracket(tiny_instance)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            value = bracket.relative_gap()
-        record = _sole_deprecation(recorded)
-        assert "drop the call parentheses" in str(record.message)
-        assert record.filename == __file__
-        assert value == float(bracket.relative_gap)
-
-
 class TestReplacementsAreQuiet:
     """The documented replacements run clean under -W error."""
 
@@ -106,19 +41,3 @@ class TestReplacementsAreQuiet:
             warnings.simplefilter("error", DeprecationWarning)
             gap = float(opt_bracket(tiny_instance).relative_gap)
         assert gap >= 0.0
-
-    @pytest.mark.parametrize(
-        "module, name",
-        [
-            ("repro.workloads.sweep", "run_sweep"),
-            ("repro.workloads.parallel", "run_sweep_parallel"),
-            ("repro.workloads.resilient", "run_sweep_resilient"),
-        ],
-    )
-    def test_shim_docstrings_name_the_removal_version(self, module, name):
-        import importlib
-
-        shim = getattr(importlib.import_module(module), name)
-        doc = " ".join(shim.__doc__.split())
-        assert ".. deprecated:: 1.0" in doc
-        assert "removed in version 2.0" in doc

@@ -9,6 +9,7 @@ no processes, no clocks.
 """
 
 import json
+import os
 import time
 from functools import lru_cache, partial
 
@@ -52,11 +53,8 @@ def _serial_rows(base_seed: int) -> tuple:
 
 def _elastic(spec, **kwargs) -> "ExecutionPolicy":
     defaults = dict(
-        elastic=True,
-        parallel=True,
         workers=3,
         retries=2,
-        backoff=0.01,
         heartbeat_interval=0.05,
     )
     defaults.update(kwargs)
@@ -141,6 +139,38 @@ class TestCellQueueUnit:
         # ... and once every remaining cell is saturated there is nothing.
         assert queue.next_lease(4, now=4.0) is None
 
+    def test_each_attempt_is_copied_once(self):
+        # Copies of a hanging cell must not keep each other alive: once
+        # both time out the cell is charged and its next attempt may be
+        # copied again.
+        queue = CellQueue(
+            _queue_cells(_spec())[:1], retries=1, lease_timeout=1.0, timeout=2.0
+        )
+        queue.next_lease(0, now=0.0)
+        assert queue.next_lease(1, now=0.5).speculative
+        queue.release(0, "timeout: hung", charge_cell=True)
+        assert queue.next_lease(2, now=2.1) is None  # attempt 1 was copied
+        queue.release(1, "timeout: hung", charge_cell=True)
+        retry = queue.next_lease(2, now=2.6)
+        assert retry.attempt == 2 and not retry.speculative
+        assert queue.next_lease(3, now=2.7).speculative
+
+    def test_deaths_quarantine_the_cell_apart_from_its_retry_budget(self):
+        queue = CellQueue(_queue_cells(_spec())[:1], retries=2, lease_timeout=1.0)
+        seed = queue.pending[0].seed
+        queue.next_lease(0, now=0.0)
+        queue.release(0, "error: injected", charge_cell=True)
+        for attempt in (2, 3, 4):  # each death is a new attempt ...
+            lease = queue.next_lease(0, now=0.0)
+            assert lease.attempt == attempt and lease.deaths == attempt - 2
+            queue.release(0, "crash: worker process died", died=True)
+        # ... and the third death quarantines the cell, whatever is left
+        # of its retry budget.
+        [failure] = queue.failures
+        assert failure.kind == "crash" and failure.attempts == 4
+        assert len(failure.history) == 4
+        assert seed not in queue.remaining and not queue.pending
+
     def test_speculation_disabled_grants_nothing_in_endgame(self):
         queue = CellQueue(_queue_cells(_spec())[:1], lease_timeout=1.0, speculate=False)
         queue.next_lease(0, now=0.0)
@@ -191,7 +221,7 @@ class TestElasticExecution:
             for line in path.read_text().splitlines()
             if json.loads(line).get("kind") == "stats"
         ][-1]
-        assert stats["scheduler"] == "elastic"
+        assert stats["scheduler"] == "lease"
         assert stats["workers"] == 2
         assert len(stats["worker_wall_seconds"]) == 2
         assert sum(stats["worker_cells"]) == len(state.completed)
@@ -315,6 +345,34 @@ def _sleepy_workload(m: int, eps: float, seed: int):
     return random_instance(6, m, eps, seed=seed)
 
 
+def _exit_on_two_machines(m: int, eps: float, seed: int):
+    """Kills whatever worker evaluates an m=2 cell (a native crash)."""
+    if m == 2:
+        os._exit(70)
+    return random_instance(6, m, eps, seed=seed)
+
+
+class TestCrashingCell:
+    """A cell that kills its worker is quarantined, not re-run forever."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_local_link_quarantines_the_cell_as_crash(self, workers):
+        spec = _spec(
+            epsilons=[0.3],
+            machine_counts=[1, 2],
+            algorithms=["greedy"],
+            workload=_exit_on_two_machines,
+            repetitions=1,
+        )
+        start = time.monotonic()
+        result = execute_sweep(spec, ExecutionPolicy(workers=workers, retries=2))
+        assert time.monotonic() - start < 20.0
+        [failure] = result.manifest.failures
+        assert (failure.machines, failure.kind, failure.attempts) == (2, "crash", 3)
+        assert "exit code 70" in failure.detail
+        assert [row.machines for row in result.rows] == [1]
+
+
 class TestAdaptiveReps:
     def test_loose_tolerance_skips_trailing_reps(self):
         spec = _spec(repetitions=6)
@@ -363,13 +421,13 @@ class TestPolicyValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(elastic=True, heartbeat_interval=0.0),
-            dict(elastic=True, heartbeat_interval=0.5, lease_timeout=0.5),
-            dict(elastic=True, worker_max_failures=0),
-            dict(elastic=True, adaptive_reps=True, adaptive_min_reps=1),
-            dict(elastic=True, adaptive_reps=True, adaptive_rel_tol=0.0),
-            dict(adaptive_reps=True),  # requires elastic
-            dict(worker_chaos=WorkerChaosPlan()),  # requires elastic
+            dict(heartbeat_interval=0.0),
+            dict(heartbeat_interval=0.5, lease_timeout=0.5),
+            dict(worker_max_failures=0),
+            dict(adaptive_reps=True, adaptive_min_reps=1),
+            dict(adaptive_reps=True, adaptive_rel_tol=0.0),
+            dict(adaptive_reps=True),  # requires worker processes
+            dict(worker_chaos=WorkerChaosPlan()),  # requires worker processes
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):

@@ -1,9 +1,8 @@
-"""The unified sweep entrypoint: policy validation, dispatch, shims.
+"""The unified sweep entrypoint: policy validation and dispatch.
 
-``execute_sweep(spec, policy)`` is the single documented way to run a
-sweep; these tests pin its contract — policy validation fails fast, the
-serial and multiprocess paths return bit-identical rows, the legacy
-entrypoints survive only as ``DeprecationWarning``-emitting shims.
+``execute_sweep(spec, policy)`` is the single way to run a sweep; these
+tests pin its contract — policy validation fails fast, and the serial
+and multiprocess paths return bit-identical rows.
 """
 
 from functools import partial
@@ -11,6 +10,7 @@ from functools import partial
 import pytest
 
 from repro.offline.cache import BracketCache
+from repro.testing.chaos import ChaosPlan
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
 from repro.workloads.random_instances import random_instance
 from repro.workloads.resilient import SweepExecutionError
@@ -45,7 +45,7 @@ class TestExecutionPolicyValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"parallel": True},
+            {"chaos": ChaosPlan()},
             {"workers": 2},
             {"timeout": 5.0},
             {"journal": "x.jsonl"},
@@ -66,7 +66,7 @@ class TestExecutionPolicyValidation:
             ({"shards": 3, "shard_index": -1}, "out of range"),
             ({"resume": True}, "journal"),
             ({"retries": -1}, "retries"),
-            ({"backoff": -0.1}, "backoff"),
+            ({"adaptive_reps": True}, "worker processes"),
             ({"workers": 0}, "workers"),
             ({"timeout": 0.0}, "timeout"),
             ({"cache": False, "cache_dir": "/tmp/x"}, "cache"),
@@ -114,43 +114,14 @@ class TestExecuteSweep:
         with pytest.raises(SweepExecutionError, match="permanently broken") as err:
             execute_sweep(
                 spec,
-                ExecutionPolicy(workers=2, retries=0, backoff=0.01, strict=True),
+                ExecutionPolicy(workers=2, retries=0, strict=True),
             )
         assert err.value.manifest.quarantined == err.value.manifest.cells_total
 
     def test_non_strict_degrades_gracefully(self):
         spec = _spec(workload=_broken_workload)
         result = execute_sweep(
-            spec, ExecutionPolicy(workers=2, retries=0, backoff=0.01)
+            spec, ExecutionPolicy(workers=2, retries=0)
         )
         assert result.rows == []
         assert result.manifest.quarantined == result.manifest.cells_total
-
-
-class TestDeprecatedShims:
-    """The legacy entrypoints delegate to execute_sweep and warn."""
-
-    def test_run_sweep_shim(self):
-        from repro.workloads.sweep import run_sweep
-
-        spec = _spec()
-        with pytest.warns(DeprecationWarning, match="run_sweep is deprecated"):
-            rows = run_sweep(spec)
-        assert rows == execute_sweep(spec).rows
-
-    def test_run_sweep_parallel_shim(self):
-        from repro.workloads.parallel import run_sweep_parallel
-
-        spec = _spec()
-        with pytest.warns(DeprecationWarning, match="run_sweep_parallel"):
-            rows = run_sweep_parallel(spec, max_workers=2)
-        assert rows == execute_sweep(spec).rows
-
-    def test_run_sweep_resilient_shim(self):
-        from repro.workloads.resilient import run_sweep_resilient
-
-        spec = _spec()
-        with pytest.warns(DeprecationWarning, match="run_sweep_resilient"):
-            result = run_sweep_resilient(spec, max_workers=2)
-        assert result.complete
-        assert result.rows == execute_sweep(spec).rows

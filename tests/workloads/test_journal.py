@@ -1,7 +1,9 @@
 """Tests for the append-only sweep checkpoint journal."""
 
 import json
+import shutil
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +346,55 @@ class TestIntegrity:
     def test_salvage_policy_requires_resume(self):
         with pytest.raises(ValueError, match="salvage"):
             ExecutionPolicy(journal="x.jsonl", salvage=True)
+
+
+#: Interrupted journals written by the two schedulers the lease loop
+#: replaced, from one spec (:func:`_golden_spec`) after 3 of its 8 cells.
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+def _golden_spec() -> SweepSpec:
+    return SweepSpec(
+        epsilons=[0.25, 0.5],
+        machine_counts=[1, 2],
+        algorithms=["threshold", "greedy"],
+        workload=partial(random_instance, 6),
+        repetitions=2,
+        base_seed=41,
+    )
+
+
+class TestOlderSchedulerJournals:
+    """Journals stay interchangeable across the scheduler change."""
+
+    @pytest.mark.parametrize("scheduler", ["static", "elastic"])
+    def test_lease_loop_resumes_to_serial_rows(self, tmp_path, scheduler):
+        from repro.workloads.remote import SCHEDULER
+
+        path = tmp_path / "journal.jsonl"
+        shutil.copy(GOLDEN / f"journal_{scheduler}_interrupted.jsonl", path)
+        spec = _golden_spec()
+        resumed = execute_sweep(
+            spec, ExecutionPolicy(workers=2, journal=path, resume=True)
+        )
+        assert resumed.rows == execute_sweep(spec).rows
+        assert resumed.manifest.cells_replayed == 3
+        state = load_journal(path)
+        assert state.sealed and len(state.completed) == 8
+        assert [s["scheduler"] for s in state.stats] == [scheduler, SCHEDULER]
+
+    def test_merge_reads_each_scheduler_stamp(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.workloads.sharding import merge_journals
+
+        paths = []
+        for scheduler in ("static", "elastic"):
+            paths.append(tmp_path / f"{scheduler}.jsonl")
+            shutil.copy(GOLDEN / f"journal_{scheduler}_interrupted.jsonl", paths[-1])
+        merged = merge_journals(paths)
+        assert [info.scheduler for info in merged.shards] == ["static", "elastic"]
+        assert [info.workers for info in merged.shards] == [2, 2]
+        assert merged.manifest.cells_completed == 3  # the same 3 cells twice
+        assert main(["merge", *map(str, paths), "--no-table"]) == 4  # incomplete
+        out = capsys.readouterr().out
+        assert "static x2 workers" in out and "elastic x2 workers" in out

@@ -1,20 +1,17 @@
-"""Tests for the parallel sweep executor.
+"""Multiprocess sweeps through ``execute_sweep``: same rows as serial.
 
-This file exercises the deprecated ``run_sweep_parallel``/``run_sweep``
-shims on purpose (they must keep working until removed), so the
-module-level mark exempts it from the suite-wide
-``-W error::DeprecationWarning`` gate.
+A worker count routes the sweep through the lease loop; the rows must
+not depend on it, and inputs that cannot reach a worker process are
+refused up front.
 """
 
 from functools import partial
 
 import pytest
 
-from repro.workloads.parallel import run_sweep_parallel
+from repro.workloads.execute import ExecutionPolicy, execute_sweep
 from repro.workloads.random_instances import random_instance
-from repro.workloads.sweep import SweepSpec, run_sweep
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.workloads.sweep import SweepSpec
 
 
 def _workload(m: int, eps: float, seed: int, n: int = 10):
@@ -32,19 +29,24 @@ def _spec() -> SweepSpec:
     )
 
 
+def _parallel(spec, workers=None, **kwargs):
+    policy = ExecutionPolicy(workers=workers or 2, retries=0, strict=True)
+    return execute_sweep(spec, policy, **kwargs).rows
+
+
 class TestParallelSweep:
     def test_matches_serial_exactly(self):
         spec = _spec()
-        serial = run_sweep(spec)
-        parallel = run_sweep_parallel(spec, max_workers=2)
+        serial = execute_sweep(spec).rows
+        parallel = _parallel(spec, workers=2)
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a == b
 
     def test_worker_count_does_not_change_results(self):
         spec = _spec()
-        one = run_sweep_parallel(spec, max_workers=1)
-        two = run_sweep_parallel(spec, max_workers=2)
+        one = _parallel(spec, workers=1)
+        two = _parallel(spec, workers=2)
         assert one == two
 
     def test_lambda_workload_rejected(self):
@@ -56,13 +58,11 @@ class TestParallelSweep:
             repetitions=1,
         )
         with pytest.raises(TypeError, match="picklable"):
-            run_sweep_parallel(spec)
+            _parallel(spec)
 
     def test_unpicklable_algorithm_kwargs_rejected(self):
         # Used to fail deep inside the pool with an opaque error; now the
         # kwargs values are pickle-checked up front like the workload.
         spec = _spec()
         with pytest.raises(TypeError, match=r"algorithm_kwargs\['greedy'\]"):
-            run_sweep_parallel(
-                spec, algorithm_kwargs={"greedy": {"hook": lambda: None}}
-            )
+            _parallel(spec, algorithm_kwargs={"greedy": {"hook": lambda: None}})

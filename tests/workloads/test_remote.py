@@ -12,6 +12,8 @@ property-tested without processes.
 
 import json
 import math
+import os
+import threading
 from functools import lru_cache, partial
 
 import pytest
@@ -297,10 +299,10 @@ class TestPolicyValidation:
         "kwargs",
         [
             dict(host_chaos=HostChaosPlan()),  # requires hosts
-            dict(worker_chaos=object()),  # slot-level, local elastic only
+            dict(worker_chaos=object()),  # applies to worker processes only
             dict(hosts=(HostSpec(name="a"),), host_max_failures=0),
             dict(hosts=(HostSpec(name="a"),), handshake_timeout=0.0),
-            dict(hosts=(HostSpec(name="a"),), adaptive_reps=True, elastic=True),
+            dict(hosts=(HostSpec(name="a"),), adaptive_reps=True),
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):
@@ -361,7 +363,7 @@ class TestRemoteExecution:
             for line in path.read_text().splitlines()
             if json.loads(line).get("kind") == "stats"
         ][-1]
-        assert stats["scheduler"] == "elastic-remote"
+        assert stats["scheduler"] == "lease"
         by_name = {h["name"]: h for h in stats["hosts"]}
         assert set(by_name) == {"alpha", "beta"}
         assert sum(h["cells"] for h in stats["hosts"]) == len(state.completed)
@@ -459,6 +461,72 @@ class TestRemoteExecution:
         assert stats["hosts_quarantined"] >= 1
         by_name = {h["name"]: h for h in stats["hosts"]}
         assert by_name["b"]["quarantined"]
+
+
+def _exit_on_two_machines(m: int, eps: float, seed: int):
+    """Kills whatever worker evaluates an m=2 cell (a native crash)."""
+    if m == 2:
+        os._exit(70)
+    return random_instance(6, m, eps, seed=seed)
+
+
+def _crash_spec() -> SweepSpec:
+    return _spec(
+        epsilons=[0.3],
+        machine_counts=[1, 2],
+        algorithms=["greedy"],
+        workload=_exit_on_two_machines,
+        repetitions=1,
+    )
+
+
+class TestCrashingCell:
+    def test_remote_link_quarantines_the_cell_as_crash(self):
+        """The cell is charged a death per lost worker and quarantined as
+        ``crash`` after ``retries + 1`` of them; the host, still within
+        its failure budget, survives."""
+        result = _remote(
+            _crash_spec(),
+            _hosts(HostSpec(name="a")),
+            backend="scalar",
+            host_max_failures=5,
+        )
+        [failure] = result.manifest.failures
+        assert (failure.machines, failure.kind, failure.attempts) == (2, "crash", 3)
+        assert [row.machines for row in result.rows] == [1]
+        assert not result.manifest.host_failures
+        assert not result.manifest.degraded_to_local
+
+
+class TestForkSafety:
+    """The controller holds no threads whenever it forks a local link."""
+
+    def test_single_threaded_at_every_fork(self, monkeypatch):
+        before = set(threading.enumerate())
+        extra_threads = []
+        real_fork = os.fork
+
+        def fork():
+            extra_threads.append(set(threading.enumerate()) - before)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        # Initial spawn, then a respawn after every crash of the m=2 cell.
+        local = execute_sweep(_crash_spec(), ExecutionPolicy(workers=1, retries=1))
+        spawned = len(extra_threads)
+        # The local fallback once the only host is refused, respawning too.
+        fallback = _remote(
+            _crash_spec(),
+            _hosts(HostSpec(name="wrong", fingerprint="f" * 16)),
+            workers=1,
+            retries=1,
+        )
+        assert spawned >= 3 and len(extra_threads) >= spawned + 3
+        assert extra_threads == [set()] * len(extra_threads)
+        assert set(threading.enumerate()) == before
+        for result in (local, fallback):
+            assert [f.kind for f in result.manifest.failures] == ["crash"]
+        assert fallback.manifest.degraded_to_local
 
 
 # ---------------------------------------------------------------------------

@@ -50,15 +50,14 @@ def run_sweep(spec):
 
 
 def run_sweep_resilient(spec, **kwargs):
-    """The fault-tolerant scheduler under its current execute_sweep surface.
+    """The multiprocess lease loop under its execute_sweep surface.
 
     Keeps the historical keyword names these tests were written with
-    (max_workers/max_retries/journal_path) while exercising the
-    non-deprecated ExecutionPolicy path.
+    (max_workers/max_retries/journal_path); two workers unless told
+    otherwise, so every call takes the process path.
     """
     policy = ExecutionPolicy(
-        parallel=True,
-        workers=kwargs.pop("max_workers", None),
+        workers=kwargs.pop("max_workers", None) or 2,
         retries=kwargs.pop("max_retries", 2),
         journal=kwargs.pop("journal_path", None),
         **kwargs,
@@ -166,7 +165,6 @@ class TestChaosAcceptance:
             chaos=CHAOS_PLAN,
             timeout=1.0,
             max_retries=1,
-            backoff=0.02,
             max_workers=4,
         )
         manifest = result.manifest
@@ -301,7 +299,7 @@ class TestFailureModes:
             workload=_broken_workload,
             repetitions=1,
         )
-        result = run_sweep_resilient(spec, max_retries=2, backoff=0.01)
+        result = run_sweep_resilient(spec, max_retries=2)
         assert result.rows == []
         (failure,) = result.manifest.failures
         assert failure.kind == "error"
@@ -320,9 +318,8 @@ class TestFailureModes:
         assert validate_cell_rows(spec, eps, m, rep, "rows") is not None
         assert validate_cell_rows(spec, eps, m, rep, []) is not None
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_parallel_wrapper_raises_on_failure(self):
-        # Exercises the deprecated strict wrapper on purpose.
+        # The strict all-or-nothing policy the old parallel wrapper used.
         spec = SweepSpec(
             epsilons=[0.3],
             machine_counts=[1],
@@ -330,10 +327,9 @@ class TestFailureModes:
             workload=_broken_workload,
             repetitions=1,
         )
-        from repro.workloads.parallel import run_sweep_parallel
-
+        policy = ExecutionPolicy(workers=1, retries=0, strict=True)
         with pytest.raises(SweepExecutionError, match="permanently broken") as excinfo:
-            run_sweep_parallel(spec)
+            execute_sweep(spec, policy)
         assert excinfo.value.manifest.quarantined == 1
 
 
