@@ -22,9 +22,10 @@ E25 extends the snapshot with the **batch backend**
 (:mod:`repro.engine.backend`): the same workloads through the
 structure-of-arrays NumPy kernels, amortised over a 64-instance batch for
 the immediate model (the batch kernel's unit of work) and per-instance for
-penalties (that kernel vectorises within an instance).  The snapshot
-stamps the python/numpy versions and per-backend speedups so regressions
-are attributable.
+the delayed and admission models (those kernels win within an instance).
+The penalties model has no batch row: its scalar engine scans only the
+plans that have not started.  The snapshot stamps the python/numpy
+versions and per-backend speedups so regressions are attributable.
 """
 
 import json
@@ -164,8 +165,8 @@ def _batch_runs():
     """(label, total_jobs, thunk) per batch-backend row (E25).
 
     Immediate-model rows amortise over a 64-lane batch (that kernel's
-    unit of work); the delayed/admission/penalties kernels win *within*
-    one instance, so their rows run per-instance like the scalar ones.
+    unit of work); the delayed/admission kernels win *within* one
+    instance, so their rows run per-instance like the scalar ones.
     """
     from repro.engine.batch import (
         IMMEDIATE_RULES,
@@ -174,7 +175,6 @@ def _batch_runs():
         run_random_admission_batch,
     )
     from repro.engine.batch_delayed import run_admission_batch, run_delayed_batch
-    from repro.engine.batch_penalties import run_penalties_batch
 
     batch = [
         random_instance(N_JOBS, MACHINES, 0.2, seed=42 + i) for i in range(BATCH_SIZE)
@@ -230,11 +230,6 @@ def _batch_runs():
             "admission[admission-lazy]",
             N_JOBS,
             lambda: run_admission_batch([_INSTANCE], algorithm="admission-lazy"),
-        ),
-        (
-            "penalties[revocable-greedy]",
-            N_JOBS,
-            lambda: run_penalties_batch([_INSTANCE], 0.5),
         ),
     ]
 

@@ -273,8 +273,7 @@ def run_algorithm(
             detail=schedule,
         )
     if spec.model == "penalties":
-        from repro.engine.batch_penalties import DEFAULT_PHI
-        from repro.engine.penalties import simulate_with_penalties
+        from repro.engine.penalties import DEFAULT_PHI, simulate_with_penalties
 
         outcome = simulate_with_penalties(
             algorithm,

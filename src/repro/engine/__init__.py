@@ -21,10 +21,11 @@ Above the per-model simulators sits the **kernel-backend seam**
 (:mod:`repro.engine.backend`): :func:`~repro.engine.backend.run_simulations`
 dispatches :class:`~repro.engine.backend.SimulationRequest` batches either
 to the scalar golden path above or to the structure-of-arrays NumPy kernels
-(:mod:`repro.engine.batch`, :mod:`repro.engine.batch_delayed`,
-:mod:`repro.engine.batch_penalties`), which are bit-identical to it — see
-``docs/engine_backends.md``; ``docs/kernel_authoring.md`` explains how to
-add a kernel that keeps these guarantees.
+(:mod:`repro.engine.batch`, :mod:`repro.engine.batch_delayed`), which are
+bit-identical to it — see ``docs/engine_backends.md``;
+``docs/kernel_authoring.md`` explains how to add a kernel that keeps these
+guarantees.  Commitment with penalties has no batch kernel: its scalar
+engine scans only the plans that have not started.
 
 For request-at-a-time use (the ``repro serve`` service), the kernel's
 event loop is also exposed incrementally: :func:`~repro.engine.controller.
@@ -79,6 +80,7 @@ from repro.engine.admission import (
     simulate_admission,
 )
 from repro.engine.penalties import (
+    DEFAULT_PHI,
     PenaltiesCommitmentModel,
     PenaltyPolicy,
     RevocableGreedyPolicy,
@@ -97,7 +99,6 @@ from repro.engine.batch_delayed import (
     run_admission_batch,
     run_delayed_batch,
 )
-from repro.engine.batch_penalties import DEFAULT_PHI, run_penalties_batch
 from repro.engine.backend import (
     BACKEND_CHOICES,
     BACKENDS,
@@ -146,6 +147,7 @@ __all__ = [
     "DelayedGreedyPolicy",
     "PendingJob",
     "simulate_delayed",
+    "DEFAULT_PHI",
     "PenaltiesCommitmentModel",
     "PenaltyPolicy",
     "RevocableGreedyPolicy",
@@ -165,8 +167,6 @@ __all__ = [
     "ADMISSION_ALGORITHMS",
     "run_admission_batch",
     "run_delayed_batch",
-    "DEFAULT_PHI",
-    "run_penalties_batch",
     "BACKEND_CHOICES",
     "BACKENDS",
     "BackendFallbackWarning",

@@ -14,10 +14,9 @@ through :func:`run_simulations`, which dispatches to one of two
 ``batch``
     Structure-of-arrays NumPy kernels (:mod:`repro.engine.batch` for the
     immediate model — including the randomized ``random-admission`` and
-    ``classify-select`` via per-lane RNG-stream replay,
+    ``classify-select`` via per-lane RNG-stream replay — and
     :mod:`repro.engine.batch_delayed` for the delayed and
-    commitment-on-admission models, :mod:`repro.engine.batch_penalties`
-    for commitment with penalties) that step groups of compatible
+    commitment-on-admission models) that step groups of compatible
     requests through vectorised decision rules.  The contract is
     *bit-identity*: schedules, ``RunStats`` counters and journal rows
     match the scalar backend exactly (asserted by
@@ -35,7 +34,9 @@ objects are scalar-only because their mutable state cannot be replayed.
 Unsupported algorithm/backend combinations never fail silently: under
 ``backend="batch"`` they fall back to scalar with a
 :class:`BackendFallbackWarning`; under ``auto`` the fallback is the
-expected behaviour and stays quiet.
+expected behaviour and stays quiet.  Commitment with penalties
+(``revocable-greedy``) is one of them: its scalar engine scans only the
+plans that have not started and outran the NumPy kernel it replaced.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 
 from repro.engine.batch import DEFAULT_Q, DEFAULT_RANDOM_SEED, IMMEDIATE_RULES
 from repro.engine.batch_delayed import ADMISSION_ALGORITHMS, DEFAULT_SLACK_MARGIN
-from repro.engine.batch_penalties import DEFAULT_PHI
 from repro.model.instance import Instance
 from repro.utils.rng import DEFAULT_SEED
 
@@ -60,8 +60,8 @@ BACKEND_CHOICES = ("auto", "scalar", "batch")
 
 #: Minimum compatible group size for ``auto`` to batch immediate-model
 #: requests.  A single immediate run gains nothing from SoA layout (the
-#: arrays hold one row), while the penalties/delayed/admission kernels win
-#: *within* an instance and are worth batching even for a group of one.
+#: arrays hold one row), while the delayed/admission kernels win *within*
+#: an instance and are worth batching even for a group of one.
 _AUTO_MIN_GROUP = 2
 
 #: Group-key kinds whose kernels vectorise *across* lanes and therefore
@@ -152,10 +152,10 @@ class BatchBackend(KernelBackend):
         Immediate-model groups additionally share the (machines, jobs)
         shape so the SoA arrays stay rectangular, and randomized
         algorithms share the *seed* — mixed-seed requests must never share
-        a pre-drawn lane row.  Penalties/delayed/admission groups share
-        only their kwargs (those kernels loop per instance).  Event
-        recording always falls back — the batch kernels do not replay
-        per-decision event streams.
+        a pre-drawn lane row.  Delayed/admission groups share only their
+        kwargs (those kernels loop per instance).  Event recording always
+        falls back — the batch kernels do not replay per-decision event
+        streams.
         """
         if request.record_events:
             return None
@@ -228,10 +228,6 @@ class BatchBackend(KernelBackend):
             if not isinstance(margin, (int, float)):
                 return None
             return ("admission", request.algorithm, float(margin))
-        if request.algorithm == "revocable-greedy":
-            if set(kwargs) - {"phi"}:
-                return None
-            return ("penalties", float(kwargs.get("phi", DEFAULT_PHI)))
         return None
 
     def supports(self, request: SimulationRequest) -> bool:
@@ -245,7 +241,6 @@ class BatchBackend(KernelBackend):
             run_random_admission_batch,
         )
         from repro.engine.batch_delayed import run_admission_batch, run_delayed_batch
-        from repro.engine.batch_penalties import run_penalties_batch
 
         requests = list(requests)
         groups: dict[tuple, list[int]] = {}
@@ -262,19 +257,6 @@ class BatchBackend(KernelBackend):
         results: list[RunResult | None] = [None] * len(requests)
         for key, members in groups.items():
             kind = key[0]
-            if kind == "penalties":
-                outcomes = run_penalties_batch(
-                    [requests[i].instance for i in members], phi=key[1]
-                )
-                for i, outcome in zip(members, outcomes):
-                    results[i] = RunResult(
-                        algorithm=requests[i].algorithm,
-                        instance=outcome.instance,
-                        accepted_load=outcome.completed_load,
-                        accepted_count=len(outcome.completed),
-                        detail=outcome,
-                    )
-                continue
             if kind == "immediate":
                 rule = IMMEDIATE_RULES[key[1]]
                 chunk = _chunk_size(key[2], key[3])
@@ -334,8 +316,8 @@ def run_simulations(
     ``backend="batch"`` batches every supported request and falls back to
     scalar for the rest with a loud :class:`BackendFallbackWarning`.
     ``backend="auto"`` batches exactly where the batch kernel is expected
-    to win (penalties/delayed/admission always — those kernels win within
-    a single instance; immediate-model groups of at least
+    to win (delayed/admission always — those kernels win within a single
+    instance; immediate-model groups of at least
     ``_AUTO_MIN_GROUP`` compatible requests) and is silent about the rest.
     """
     if backend not in BACKEND_CHOICES:

@@ -34,13 +34,20 @@ E13).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import insort_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Sequence
 
 from repro.engine.kernel import CommitmentModel, JobFeed, KernelContext, run_model
 from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.utils.tolerances import TIME_EPS, fge
+
+#: Engine-level default penalty factor for the registry's
+#: ``revocable-greedy`` entry (matches bench E13/E16 conventions).
+DEFAULT_PHI = 0.5
 
 
 @dataclass
@@ -141,6 +148,12 @@ class PenaltiesCommitmentModel(CommitmentModel):
     One kernel step per submission; the revocable plan set is the model
     state and every mutation (revocation, new plan) is validated here
     before it lands.
+
+    The overlap check reads a per-machine index of the surviving plans a
+    new plan can still overlap, in insertion order.  A plan leaves the
+    index once it ends by the earliest release still to come: every later
+    plan must start at or after its decision time (up to ``TIME_EPS``), so
+    ``start < end - TIME_EPS`` can no longer hold for it.
     """
 
     model = "commitment-with-penalties"
@@ -153,6 +166,15 @@ class PenaltiesCommitmentModel(CommitmentModel):
         self.feed = JobFeed(instance.jobs)
         self.plans: dict[int, PlannedJob] = {}
         self.outcome: PenaltyOutcome | None = None
+        self._live: defaultdict[Any, dict[int, PlannedJob]] = defaultdict(dict)
+        # Suffix minima of the release dates, last job first: popping one
+        # per step yields the earliest decision time still to come.
+        self._floors: list[float] = []
+        floor = float("inf")
+        for job in reversed(instance.jobs):
+            floor = min(floor, job.release)
+            self._floors.append(floor)
+        self._floor = floor
 
     def begin(self, ctx: KernelContext) -> None:
         self.policy.reset(self.instance.machines, self.instance.epsilon, self.phi)
@@ -172,6 +194,7 @@ class PenaltiesCommitmentModel(CommitmentModel):
                 time=t,
             )
         del self.plans[rid]
+        self._live[victim.machine].pop(rid, None)
         self.outcome.revoked.add(rid)
         ctx.revoked(t, rid, machine=victim.machine, start=victim.start)
 
@@ -188,10 +211,13 @@ class PenaltiesCommitmentModel(CommitmentModel):
             )
         if not plan.job.feasible_start(plan.start):
             ctx.fail(f"plan for job {job.job_id} infeasible", job_id=job.job_id, time=t)
-        for other in self.plans.values():
-            if other.machine == plan.machine and (
-                plan.start < other.end - TIME_EPS and other.start < plan.end - TIME_EPS
-            ):
+        live = self._live[plan.machine]
+        end = plan.end
+        for rid, other in list(live.items()):
+            other_end = other.end
+            if other_end <= self._floor:
+                del live[rid]
+            elif plan.start < other_end - TIME_EPS and other.start < end - TIME_EPS:
                 ctx.fail(
                     f"plan for job {job.job_id} overlaps surviving plan "
                     f"{other.job.job_id}",
@@ -203,6 +229,7 @@ class PenaltiesCommitmentModel(CommitmentModel):
         job = self.feed.pop()
         if job is None:
             return False
+        self._floor = self._floors.pop()
         t = job.release
         ctx.submitted(job, t)
         plan, revoked_ids = self.policy.on_submission(job, t, list(self.plans.values()))
@@ -214,6 +241,7 @@ class PenaltiesCommitmentModel(CommitmentModel):
             return True
         self._validate_plan(ctx, plan, job, t)
         self.plans[job.job_id] = plan
+        self._live[plan.machine][job.job_id] = plan
         ctx.decided(t, job.job_id, True, plan.machine, plan.start)
         return True
 
@@ -235,6 +263,9 @@ def simulate_with_penalties(
     )
 
 
+_START = attrgetter("start")
+
+
 class RevocableGreedyPolicy(PenaltyPolicy):
     """Greedy with as-late-as-possible placement and profitable swaps.
 
@@ -245,71 +276,100 @@ class RevocableGreedyPolicy(PenaltyPolicy):
     plans of one machine: the swap executes iff the newcomer's value
     exceeds the victims' value plus the penalty,
     :math:`p_{new} > (1 + \\phi) \\sum p_{victims}`.
+
+    The policy keeps its own start-sorted plan list per machine and
+    ignores the engine's *plans* argument.  The lists mirror the engine's
+    plans because the engine applies exactly what the policy returns (the
+    new plan and the revocations) or fails the run; :meth:`reset` clears
+    them.  Equal starts keep insertion order, as a stable sort of the
+    engine's plans would.  Started plans form a prefix of each list, so a
+    submission scans the unstarted suffix and the gaps after the last
+    started plan, not every plan the machine ever ran.
     """
 
     name = "revocable-greedy"
 
     def __init__(self) -> None:
-        self._m = 0
         self._phi = 0.0
+        self._busy: list[list[PlannedJob]] = []
 
     def reset(self, machines: int, epsilon: float, phi: float) -> None:
-        self._m = machines
         self._phi = phi
+        self._busy = [[] for _ in range(machines)]
 
     # -- helpers --------------------------------------------------------
-    def _machine_plans(self, plans: Sequence[PlannedJob], machine: int) -> list[PlannedJob]:
-        return sorted(
-            (p for p in plans if p.machine == machine), key=lambda p: p.start
-        )
+    @staticmethod
+    def _started(busy: list[PlannedJob], t: float) -> int:
+        """Length of the started prefix of a start-sorted plan list."""
+        k = len(busy)
+        while k and not busy[k - 1].started(t):
+            k -= 1
+        return k
 
+    @staticmethod
     def _latest_start(
-        self, job: Job, t: float, busy: list[PlannedJob]
+        job: Job, t: float, busy: list[PlannedJob], k: int, n: int
     ) -> float | None:
-        """Latest feasible start on a machine with the given plan set."""
+        """Latest feasible start in the gaps of ``busy[:n]`` (*k* started).
+
+        Folds the gaps between consecutive plans front to back.  A gap
+        that closes at or before plan ``k - 1``'s start offers at most
+        ``min(d, busy[k - 1].start) - p`` against a floor of at least
+        *earliest*; when that is below the floor's tolerance, every such
+        gap is invalid, leaves the fold untouched, and is skipped.
+        """
         earliest = max(t, job.release)
-        # Gaps between consecutive plans, scanned from the back.
-        edges = [earliest] + [p.end for p in busy]
-        uppers = [p.start for p in busy] + [float("inf")]
+        d = job.deadline
+        p = job.processing
+        if k and min(d, busy[k - 1].start) - p < earliest - TIME_EPS:
+            i, lo = k, busy[k - 1].end
+        else:
+            i, lo = 0, earliest
         best = None
-        for lo, hi in zip(edges, uppers):
+        while True:
+            hi = busy[i].start if i < n else float("inf")
             lo = max(lo, earliest)
-            start = min(job.deadline, hi) - job.processing
-            if start >= lo - TIME_EPS and fge(job.deadline, start + job.processing):
+            start = min(d, hi) - p
+            if start >= lo - TIME_EPS and fge(d, start + p):
                 if best is None or start > best:
                     best = max(start, lo)
-        return best
+            if i == n:
+                return best
+            lo = busy[i].end
+            i += 1
+
+    def _place(self, plan: PlannedJob) -> PlannedJob:
+        insort_right(self._busy[plan.machine], plan, key=_START)
+        return plan
 
     def on_submission(self, job, t, plans):
         # 1) plain placement: pick the machine offering the latest start.
+        started = [self._started(busy, t) for busy in self._busy]
         best: tuple[float, int] | None = None
-        for machine in range(self._m):
-            busy = self._machine_plans(plans, machine)
-            start = self._latest_start(job, t, busy)
+        for machine, busy in enumerate(self._busy):
+            start = self._latest_start(job, t, busy, started[machine], len(busy))
             if start is not None and (best is None or start > best[0]):
                 best = (start, machine)
         if best is not None:
-            return PlannedJob(job, best[1], best[0]), []
+            return self._place(PlannedJob(job, best[1], best[0])), []
 
         # 2) profitable swap: drop all not-yet-started plans on the machine
         #    with the cheapest removable load, if the newcomer pays for it.
         options = []
-        for machine in range(self._m):
-            busy = self._machine_plans(plans, machine)
-            removable = [p for p in busy if not p.started(t)]
-            if not removable:
+        for machine, busy in enumerate(self._busy):
+            k = started[machine]
+            if k == len(busy):
                 continue
-            keep = [p for p in busy if p.started(t)]
-            start = self._latest_start(job, t, keep)
+            start = self._latest_start(job, t, busy, k, k)
             if start is None:
                 continue
-            cost = sum(p.job.processing for p in removable)
-            options.append((cost, machine, start, removable))
+            cost = sum(p.job.processing for p in busy[k:])
+            options.append((cost, machine, start, k))
         if options:
-            cost, machine, start, removable = min(options, key=lambda o: o[0])
+            cost, machine, start, k = min(options, key=lambda o: o[0])
             if job.processing > (1.0 + self._phi) * cost + TIME_EPS:
-                return (
-                    PlannedJob(job, machine, start),
-                    [p.job.job_id for p in removable],
-                )
+                busy = self._busy[machine]
+                revoked = [p.job.job_id for p in busy[k:]]
+                del busy[k:]
+                return self._place(PlannedJob(job, machine, start)), revoked
         return None, []

@@ -6,11 +6,16 @@ These tests assert it three ways:
 
 * exhaustive scalar-vs-batch comparison of schedules, rejected sets and
   ``RunStats`` counters over a grid of workload families, shapes and
-  algorithms (and phi values for the penalties kernel);
+  algorithms;
 * hypothesis property tests over adversarially generated instances;
 * golden-trace replay: the batch kernels must reproduce the same
   pre-kernel snapshots in ``tests/golden/golden_traces.json`` that pin
   the scalar engines.
+
+Commitment with penalties has no batch kernel; its scalar engine is held
+to the same standard against :mod:`tests.engine.penalties_reference`, the
+earlier full-scan policy and overlap check, on the same grid, property
+and edge cases, plus an error-parity corpus of near-``TIME_EPS`` jobs.
 
 Plus the seam's dispatch semantics: loud scalar fallback under
 ``backend="batch"``, the ``auto`` grouping heuristic, near-tie threshold
@@ -21,6 +26,7 @@ mixed-seed requests can never share a lane row).
 """
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +51,6 @@ from repro.engine.batch import (
     run_random_admission_batch,
 )
 from repro.engine.batch_delayed import run_admission_batch, run_delayed_batch
-from repro.engine.batch_penalties import run_penalties_batch
 from repro.engine.kernel import SimulationError, run_model
 from repro.engine.policy import SequenceSource
 from repro.engine.simulator import ImmediateCommitmentModel
@@ -53,6 +58,7 @@ from repro.core.threshold import ThresholdPolicy
 from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.workloads import cloud_instance, random_instance
+from tests.engine.penalties_reference import reference_run
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "golden_traces.json"
 
@@ -95,8 +101,8 @@ def _assert_immediate_equal(scalar, batch):
     assert _stats_key(scalar.stats) == _stats_key(batch.stats)
 
 
-def _assert_penalties_equal(scalar, batch):
-    s, b = scalar.detail, batch.detail
+def _assert_penalties_equal(result, reference):
+    s, b = result.detail, reference.detail
     assert list(s.completed) == list(b.completed)  # same insertion order
     assert {j: (p.machine, p.start) for j, p in s.completed.items()} == {
         j: (p.machine, p.start) for j, p in b.completed.items()
@@ -105,7 +111,7 @@ def _assert_penalties_equal(scalar, batch):
     assert s.rejected == b.rejected
     assert s.completed_load == b.completed_load
     assert s.penalty_paid == b.penalty_paid
-    assert _stats_key(scalar.stats) == _stats_key(batch.stats)
+    assert _stats_key(result.stats) == _stats_key(reference.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +211,48 @@ def test_penalties_grid_bit_identical(phi):
         for seed in (0, 1):
             inst = random_instance(50, m, 0.2, seed=seed)
             scalar = run_algorithm("revocable-greedy", inst, phi=phi)
-            (batch,) = BatchBackend().run_many(
-                [SimulationRequest("revocable-greedy", inst, kwargs={"phi": phi})]
+            _assert_penalties_equal(scalar, reference_run(inst, phi))
+
+
+def _tiny_job_instance(seed):
+    """Jobs of 1-3 ``TIME_EPS`` at clock offsets 0, 1e6 and 1e8."""
+    rng = random.Random(seed)
+    release = (0.0, 1e6, 1e8)[seed % 3]
+    jobs = []
+    for _ in range(rng.randint(30, 60)):
+        release += rng.uniform(0.0, 1e-9)
+        p = rng.uniform(1e-9, 3e-9)
+        jobs.append(Job(release, p, release + (2.0 + rng.uniform(0.0, 0.5)) * p))
+    return Instance(jobs, machines=rng.choice((1, 2)), epsilon=1.0)
+
+
+def test_penalties_error_parity_on_tiny_jobs():
+    """Where the reference fails a run, the engine fails it identically.
+
+    At processing times of a few ``TIME_EPS`` the policy can propose a
+    plan its own engine rejects (a known defect, kept as is); the message,
+    ``job_id`` and ``time`` of each rejection must match the reference.
+    """
+    failures = 0
+    for seed in range(200):
+        inst = _tiny_job_instance(seed)
+        for phi in (0.0, 0.5, 3.0):
+            try:
+                expected = reference_run(inst, phi)
+            except SimulationError as ref_err:
+                failures += 1
+                with pytest.raises(SimulationError) as err:
+                    run_algorithm("revocable-greedy", inst, phi=phi)
+                assert str(err.value) == str(ref_err)
+                assert (err.value.job_id, err.value.time) == (
+                    ref_err.job_id,
+                    ref_err.time,
+                )
+                continue
+            _assert_penalties_equal(
+                run_algorithm("revocable-greedy", inst, phi=phi), expected
             )
-            assert batch.detail.meta["backend"] == "batch"
-            _assert_penalties_equal(scalar, batch)
+    assert failures >= 100  # the corpus must exercise the rejection path
 
 
 def test_batched_group_equals_independent_runs():
@@ -235,10 +278,7 @@ def test_empty_and_single_job_instances():
         Instance([Job(0.0, 1.0, 10.0)], machines=2, epsilon=0.3),
     ):
         scalar = run_algorithm("revocable-greedy", inst)
-        (batch,) = BatchBackend().run_many(
-            [SimulationRequest("revocable-greedy", inst)]
-        )
-        _assert_penalties_equal(scalar, batch)
+        _assert_penalties_equal(scalar, reference_run(inst, 0.5))
         for algorithm in ("random-admission", "delayed-greedy", "admission-lazy"):
             scalar = run_algorithm(algorithm, inst)
             (batch,) = BatchBackend().run_many([SimulationRequest(algorithm, inst)])
@@ -333,10 +373,7 @@ def test_property_admission_equivalence(inst, algorithm):
 @given(inst=instances(), phi=st.floats(min_value=0.0, max_value=4.0))
 def test_property_penalties_equivalence(inst, phi):
     scalar = run_algorithm("revocable-greedy", inst, phi=phi)
-    (batch,) = BatchBackend().run_many(
-        [SimulationRequest("revocable-greedy", inst, kwargs={"phi": phi})]
-    )
-    _assert_penalties_equal(scalar, batch)
+    _assert_penalties_equal(scalar, reference_run(inst, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +439,6 @@ def test_batch_replays_golden_admission(algorithm, golden, golden_instance):
     )
 
 
-def test_batch_replays_golden_penalties(golden, golden_instance):
-    (out,) = run_penalties_batch([golden_instance], 0.5)
-    snapshot = {
-        "completed": [
-            {"job": jid, "machine": p.machine, "start": p.start}
-            for jid, p in sorted(out.completed.items())
-        ],
-        "revoked": sorted(out.revoked),
-        "rejected": sorted(out.rejected),
-        "net_value": out.net_value,
-    }
-    assert snapshot == golden["models"]["penalties[revocable-greedy,phi=0.5]"]
-
-
 # ---------------------------------------------------------------------------
 # near-tie threshold decisions (satellite: tolerance discipline)
 # ---------------------------------------------------------------------------
@@ -462,22 +485,16 @@ def _tiny_instance(n):
     return Instance(jobs, machines=2, epsilon=0.5)
 
 
-@pytest.mark.parametrize("runner", ["immediate", "penalties"])
-def test_batch_max_steps_matches_scalar_error_shape(runner):
+def test_batch_max_steps_matches_scalar_error_shape():
     inst = _tiny_instance(6)
     with pytest.raises(SimulationError) as scalar_err:
         run_model(
             ImmediateCommitmentModel(ThresholdPolicy(), SequenceSource(inst)),
             max_steps=5,
         )
-    if runner == "immediate":
-        with pytest.raises(SimulationError) as batch_err:
-            run_immediate_batch(IMMEDIATE_RULES["threshold"], [inst], max_steps=5)
-        assert batch_err.value.model == "immediate"
-    else:
-        with pytest.raises(SimulationError) as batch_err:
-            run_penalties_batch([inst], 0.5, max_steps=5)
-        assert batch_err.value.model == "commitment-with-penalties"
+    with pytest.raises(SimulationError) as batch_err:
+        run_immediate_batch(IMMEDIATE_RULES["threshold"], [inst], max_steps=5)
+    assert batch_err.value.model == "immediate"
     assert str(batch_err.value).startswith(str(scalar_err.value).split(" [")[0])
     assert "max_steps=5" in str(batch_err.value)
     assert isinstance(batch_err.value, ValueError)  # same dual inheritance
@@ -533,11 +550,15 @@ def test_explicit_batch_falls_back_loudly_for_unsupported():
     requests = [
         SimulationRequest("threshold", inst),
         SimulationRequest("dasgupta-palis", inst),  # preemptive: unsupported
+        SimulationRequest("revocable-greedy", inst),  # penalties: scalar-only
     ]
-    with pytest.warns(BackendFallbackWarning, match="dasgupta-palis"):
+    with pytest.warns(
+        BackendFallbackWarning, match="dasgupta-palis, revocable-greedy"
+    ):
         results = run_simulations(requests, backend="batch")
     assert results[0].detail.meta["backend"] == "batch"
     assert results[1].accepted_load == run_algorithm("dasgupta-palis", inst).accepted_load
+    _assert_penalties_equal(results[2], run_algorithm("revocable-greedy", inst))
 
 
 def test_record_events_falls_back_to_scalar():
@@ -557,11 +578,11 @@ def test_auto_batches_groups_and_not_singletons():
         [SimulationRequest("threshold", inst)] * _AUTO_MIN_GROUP, backend="auto"
     )
     assert all(r.detail.meta["backend"] == "batch" for r in group)
-    # Penalties vectorises within the instance: batched even as a singleton.
+    # Penalties has no batch kernel: it runs on the scalar path.
     pen = run_simulations(
         [SimulationRequest("revocable-greedy", inst)], backend="auto"
     )
-    assert pen[0].detail.meta["backend"] == "batch"
+    assert pen[0].detail.meta.get("backend") != "batch"
 
 
 def test_unknown_backend_rejected():
@@ -710,7 +731,7 @@ def test_auto_heuristics_for_new_immediate_variants():
 
 
 def test_auto_batches_delayed_and_admission_even_as_singletons():
-    """Those kernels win within one instance, like penalties."""
+    """Those kernels win within one instance."""
     inst = random_instance(12, 2, 0.3, seed=1)
     for algorithm in ("delayed-greedy", "admission-greedy", "admission-lazy"):
         (result,) = run_simulations(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.kernel import SimulationError
 from repro.engine.penalties import (
     PenaltyPolicy,
     PlannedJob,
@@ -11,6 +12,7 @@ from repro.engine.penalties import (
 from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.workloads import alternating_instance, random_instance
+from tests.engine.penalties_reference import reference_run
 
 
 class TestPlannedJob:
@@ -120,3 +122,77 @@ class TestRevocableGreedy:
             inst = random_instance(50, 3, 0.25, seed=seed)
             out = simulate_with_penalties(RevocableGreedyPolicy(), inst, 0.5)
             out.audit()
+
+
+class _Scripted(PenaltyPolicy):
+    """Places job ``j`` at ``script[j] = (machine, start, revoked_ids)``."""
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+
+    def on_submission(self, job, t, plans):
+        machine, start, revoked = self.script[job.job_id]
+        return PlannedJob(job, machine, start), list(revoked)
+
+
+class TestOverlapIndex:
+    def test_overlap_names_earliest_inserted_plan(self):
+        # Job 0 is planned late, job 1 early; job 2 overlaps both and the
+        # error names job 0, the first surviving plan in insertion order.
+        jobs = [Job(0.0, 1.0, 20.0), Job(0.0, 1.0, 20.0), Job(0.0, 4.0, 20.0)]
+        inst = Instance(jobs, machines=2, epsilon=1.0)
+        script = {0: (0, 5.0, ()), 1: (0, 2.0, ()), 2: (0, 2.5, ())}
+        with pytest.raises(SimulationError, match="overlaps surviving plan 0$") as err:
+            simulate_with_penalties(_Scripted(script), inst, 0.0)
+        assert (err.value.job_id, err.value.time) == (2, 0.0)
+
+    def test_revoked_slot_is_free(self):
+        jobs = [Job(0.0, 2.0, 20.0), Job(1.0, 2.0, 20.0)]
+        inst = Instance(jobs, machines=1, epsilon=1.0)
+        script = {0: (0, 5.0, ()), 1: (0, 5.0, (0,))}
+        out = simulate_with_penalties(_Scripted(script), inst, 0.0)
+        assert out.revoked == {0}
+        assert {j: p.start for j, p in out.completed.items()} == {1: 5.0}
+
+    def test_finished_plan_checked_against_earlier_release(self):
+        # Job 1 is released after job 0's plan ends, but job 2 comes back
+        # to t=0.5 (an unvalidated instance): job 0 must still block it.
+        jobs = [Job(0.0, 1.0, 3.0), Job(5.0, 1.0, 8.0), Job(0.5, 1.0, 3.0)]
+        inst = Instance(jobs, machines=1, epsilon=1.0, validate=False)
+        script = {0: (0, 0.0, ()), 1: (0, 5.0, ()), 2: (0, 0.5, ())}
+        with pytest.raises(SimulationError, match="overlaps surviving plan 0$"):
+            simulate_with_penalties(_Scripted(script), inst, 0.0)
+
+
+def _outcome_key(out):
+    return (
+        [(j, p.machine, p.start) for j, p in out.completed.items()],
+        out.revoked,
+        out.rejected,
+        out.net_value,
+    )
+
+
+class TestPolicyState:
+    def test_reused_instance_matches_fresh_ones(self):
+        a = random_instance(80, 3, 0.2, seed=7)
+        b = random_instance(60, 2, 0.3, seed=8)
+        policy = RevocableGreedyPolicy()
+        reused = [simulate_with_penalties(policy, inst, 0.5) for inst in (a, b)]
+        fresh = [
+            simulate_with_penalties(RevocableGreedyPolicy(), inst, 0.5)
+            for inst in (a, b)
+        ]
+        assert [_outcome_key(o) for o in reused] == [_outcome_key(o) for o in fresh]
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5])
+    def test_event_stream_matches_reference(self, phi):
+        inst = random_instance(60, 2, 0.2, seed=2)
+        out = simulate_with_penalties(
+            RevocableGreedyPolicy(), inst, phi, record_events=True
+        )
+        ref = reference_run(inst, phi, record_events=True).detail
+        assert out.meta["events"].of_kind("revoke")
+        assert list(out.meta["events"]) == list(ref.meta["events"])
