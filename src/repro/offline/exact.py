@@ -7,14 +7,34 @@ outcomes of *dispatch sequences* — repeatedly appending some job to some
 machine — so DFS over (job, machine-frontier) choices with memoisation on
 ``(remaining jobs, sorted frontiers)`` enumerates the full solution space.
 
+State representation: the remaining jobs are an integer bitmask (bit
+``i`` is job id ``i``, which :class:`~repro.model.instance.Instance` makes
+the job's position) and the frontiers a sorted tuple of machine
+completion times rounded to ``_KEY_DECIMALS`` decimals; the memo is keyed
+on ``(mask, frontiers)``.
+
 State-space reductions:
 
 * frontiers are kept as a sorted tuple (machines are identical);
 * only *distinct* frontier values are branched on;
 * jobs that can no longer meet their deadline from the smallest frontier
-  are dropped from the state (frontiers only grow along a branch);
-* branches are explored largest-job-first with a node-local upper-bound
-  cut (remaining feasible load cannot beat the best branch found so far).
+  are dropped from the state (frontiers only grow along a branch) — the
+  alive set of a frontier value is one bitmask, computed the first time
+  the value occurs;
+* branches are explored largest-job-first, so strong incumbents come
+  early, and a state returns as soon as its best branch schedules all
+  of its remaining load (``best >= total - TIME_EPS``).
+
+There is no bound that prunes a branch.  The cut at the head of the job
+loop (``p + total - p <= best + TIME_EPS``) can only fire once the
+incumbent is within ``TIME_EPS`` of the remaining load, and by then the
+state has returned: in effect it fires only when the remaining load is
+at most ``TIME_EPS``.
+
+Ties are broken by job id: equal processing times branch in ascending
+job id, and a state's remaining load is summed in ascending job id.  So
+the search order, the value, the schedule and
+:attr:`ExactResult.explored_states` are a function of the instance alone.
 
 The solver is exponential by nature; :data:`EXACT_JOB_LIMIT` guards
 against accidental use on large instances.
@@ -25,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.model.instance import Instance
-from repro.model.job import Job
 from repro.model.machine import MachineState
 from repro.model.schedule import Assignment, Schedule
 from repro.utils.tolerances import TIME_EPS, fge
@@ -63,64 +82,92 @@ def _round_key(x: float) -> float:
 class _Solver:
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.jobs: dict[int, Job] = {j.job_id: j for j in instance}
-        self.memo: dict[tuple, float] = {}
+        self.jobs = instance.jobs  # position == job id == bit
+        self.processing = [job.processing for job in self.jobs]
+        #: branch order: largest processing time first, ties by job id.
+        self.order = sorted(range(len(self.jobs)), key=lambda i: -self.processing[i])
+        #: per job in branch order: its bit, p, r, d and its rounded end
+        #: when it starts at its release.
+        self.branches = []
+        for jid in self.order:
+            job = self.jobs[jid]
+            end = _round_key(job.release + job.processing)
+            self.branches.append((1 << jid, job.processing, job.release, job.deadline, end))
+        self.memo: dict[tuple[int, tuple[float, ...]], float] = {}
+        #: alive-job mask per smallest-frontier value (see :meth:`_alive`).
+        self.alive_at: dict[float, int] = {}
 
     # ------------------------------------------------------------------
-    def _alive(self, remaining: frozenset[int], min_frontier: float) -> frozenset[int]:
-        """Drop jobs that can never be scheduled from this state on."""
-        return frozenset(
-            jid
-            for jid in remaining
-            if fge(
-                self.jobs[jid].deadline,
-                max(self.jobs[jid].release, min_frontier) + self.jobs[jid].processing,
-            )
-        )
+    def _alive(self, min_frontier: float) -> int:
+        """Mask of the jobs that still fit when no machine frees before
+        *min_frontier*."""
+        mask = self.alive_at.get(min_frontier)
+        if mask is None:
+            mask = 0
+            for jid, job in enumerate(self.jobs):
+                if fge(job.deadline, max(job.release, min_frontier) + job.processing):
+                    mask |= 1 << jid
+            self.alive_at[min_frontier] = mask
+        return mask
 
-    def best_additional(self, remaining: frozenset[int], frontiers: tuple[float, ...]) -> float:
+    def best_additional(self, remaining: int, frontiers: tuple[float, ...]) -> float:
         """Maximum additional load schedulable from this state."""
-        remaining = self._alive(remaining, frontiers[0])
+        remaining &= self._alive(frontiers[0])
         if not remaining:
             return 0.0
-        key = (remaining, frontiers)
-        cached = self.memo.get(key)
+        cached = self.memo.get((remaining, frontiers))
         if cached is not None:
             return cached
+        return self._expand(remaining, frontiers)
+
+    def _expand(self, remaining: int, frontiers: tuple[float, ...]) -> float:
+        """Search a state that is alive-filtered, non-empty and not memoised."""
         if len(self.memo) >= MAX_EXPLORED_STATES:
             raise ExactSolverBudgetExceeded(
                 f"exact solver exceeded {MAX_EXPLORED_STATES} memoised states; "
                 "use repro.offline.bracket.opt_bracket(force_bounds=True) instead"
             )
-
-        total_possible = sum(self.jobs[j].processing for j in remaining)
+        # Remaining load, summed in ascending job id.
+        total_possible = sum(p for jid, p in enumerate(self.processing) if remaining >> jid & 1)
         best = 0.0
-        # Largest-processing-first finds strong incumbents early.
-        for jid in sorted(remaining, key=lambda i: -self.jobs[i].processing):
-            job = self.jobs[jid]
-            if job.processing + total_possible - job.processing <= best + TIME_EPS:
-                # Even scheduling everything cannot beat the incumbent.
-                break
-            tried: set[float] = set()
+        for bit, p, r, d, release_end in self.branches:
+            if not remaining & bit:
+                continue
+            if p + total_possible - p <= best + TIME_EPS:
+                break  # in effect: the remaining load is at most TIME_EPS
+            rest = remaining ^ bit
+            previous = None
             for slot, frontier in enumerate(frontiers):
-                if frontier in tried:
+                if frontier == previous:  # sorted: equal frontiers are adjacent
                     continue
-                tried.add(frontier)
-                start = max(job.release, frontier)
-                if not fge(job.deadline, start + job.processing):
-                    continue
-                new_frontiers = list(frontiers)
-                new_frontiers[slot] = _round_key(start + job.processing)
-                new_frontiers.sort()
-                value = job.processing + self.best_additional(
-                    remaining - {jid}, tuple(new_frontiers)
-                )
+                previous = frontier
+                if r >= frontier:
+                    # The job is alive at frontiers[0] <= frontier <= r, so
+                    # it meets its deadline from its release.
+                    end = release_end
+                else:
+                    finish = frontier + p
+                    if not fge(d, finish):
+                        continue
+                    end = _round_key(finish)
+                child_frontiers = list(frontiers)
+                child_frontiers[slot] = end
+                child_frontiers.sort()
+                child_frontiers = tuple(child_frontiers)
+                child = rest & self._alive(child_frontiers[0])
+                if child:
+                    additional = self.memo.get((child, child_frontiers))
+                    if additional is None:
+                        additional = self._expand(child, child_frontiers)
+                else:
+                    additional = 0.0
+                value = p + additional
                 if value > best + TIME_EPS:
                     best = value
                 if best >= total_possible - TIME_EPS:
-                    self.memo[key] = best
+                    self.memo[remaining, frontiers] = best
                     return best
-        self.memo[key] = best
+        self.memo[remaining, frontiers] = best
         return best
 
     # ------------------------------------------------------------------
@@ -128,20 +175,22 @@ class _Solver:
         """Rebuild one optimal schedule by walking the memoised values."""
         machines = [MachineState(i) for i in range(self.instance.machines)]
         schedule = Schedule(instance=self.instance, algorithm="offline-exact")
-        remaining = frozenset(self.jobs)
+        remaining = (1 << len(self.jobs)) - 1
         frontiers = tuple([0.0] * self.instance.machines)
         # Track which physical machine owns each frontier slot.
         slot_machines = list(range(self.instance.machines))
 
         while True:
-            remaining = self._alive(remaining, frontiers[0])
+            remaining &= self._alive(frontiers[0])
             if not remaining:
                 break
             target = self.best_additional(remaining, frontiers)
             if target <= TIME_EPS:
                 break
             moved = False
-            for jid in sorted(remaining, key=lambda i: -self.jobs[i].processing):
+            for jid in self.order:
+                if not remaining >> jid & 1:
+                    continue
                 job = self.jobs[jid]
                 tried: set[float] = set()
                 for slot, frontier in enumerate(frontiers):
@@ -155,14 +204,14 @@ class _Solver:
                     new_frontiers[slot] = _round_key(start + job.processing)
                     order = sorted(range(len(new_frontiers)), key=lambda i: new_frontiers[i])
                     candidate = job.processing + self.best_additional(
-                        remaining - {jid},
+                        remaining ^ (1 << jid),
                         tuple(new_frontiers[i] for i in order),
                     )
                     if abs(candidate - target) <= 1e-7:
                         machine_idx = slot_machines[slot]
                         machines[machine_idx].commit(job, start)
                         schedule.assignments[jid] = Assignment(jid, machine_idx, start)
-                        remaining = remaining - {jid}
+                        remaining ^= 1 << jid
                         slot_machines = [slot_machines[i] for i in order]
                         frontiers = tuple(new_frontiers[i] for i in order)
                         moved = True
@@ -171,7 +220,7 @@ class _Solver:
                     break
             if not moved:  # pragma: no cover - defensive
                 raise RuntimeError("reconstruction failed to follow the memo")
-        for jid in self.jobs:
+        for jid in range(len(self.jobs)):
             if jid not in schedule.assignments:
                 schedule.rejected.add(jid)
         schedule.audit()
@@ -191,7 +240,7 @@ def exact_optimum(instance: Instance, job_limit: int = EXACT_JOB_LIMIT) -> Exact
         )
     solver = _Solver(instance)
     value = solver.best_additional(
-        frozenset(solver.jobs), tuple([0.0] * instance.machines)
+        (1 << len(instance)) - 1, tuple([0.0] * instance.machines)
     )
     schedule = solver.reconstruct()
     if abs(schedule.accepted_load - value) > 1e-6:  # pragma: no cover - defensive

@@ -15,7 +15,9 @@ without processes or clocks:
   timeout) spends the cell's retry budget; a worker death re-queues the
   cell charge-free but is *counted*, so a cell that kills every worker
   it touches is quarantined as ``crash`` after ``retries + 1`` deaths
-  instead of being re-dispatched forever.
+  instead of being re-dispatched forever.  While other workers hold
+  leases, a cell is not re-offered to a worker it already died on, so a
+  slot that keeps dying cannot spend a healthy cell's death budget alone.
 * **Speculative re-execution**: once the queue runs dry, idle workers
   re-execute the longest-running outstanding cells (one extra copy per
   attempt, so copies of a hanging cell cannot keep each other alive
@@ -89,6 +91,8 @@ class Lease:
     history: tuple[str, ...] = ()
     #: worker deaths this cell has caused so far (see :meth:`CellQueue.release`).
     deaths: int = 0
+    #: the worker keys this cell died on (see :meth:`CellQueue.next_lease`).
+    died_on: frozenset[Hashable] = frozenset()
 
 
 @dataclass
@@ -100,6 +104,7 @@ class _PendingCell:
     attempt: int  # next attempt number (1-based)
     history: tuple[str, ...] = ()
     deaths: int = 0
+    died_on: frozenset[Hashable] = frozenset()
 
 
 class CellQueue:
@@ -187,12 +192,17 @@ class CellQueue:
 
         Returns ``None`` when there is nothing to grant — the worker goes
         idle and should be re-offered work after the next state change.
+        While another worker holds a lease, cells that died on *worker*
+        are left for the others: a slot that keeps dying must not use up
+        the death budget of a cell no healthy worker has tried.
         """
         if worker in self.leases:
             raise RuntimeError(f"worker slot {worker} already holds a lease")
         speculative = False
         if self.pending:
-            task = self.pending.popleft()
+            task = self._pending_for(worker)
+            if task is None:
+                return None
         else:
             task = self._speculation_target(worker)
             if task is None:
@@ -211,6 +221,7 @@ class CellQueue:
             speculative=speculative,
             history=task.history,
             deaths=task.deaths,
+            died_on=task.died_on,
         )
         self.leases[worker] = lease
         self.granted += 1
@@ -218,6 +229,16 @@ class CellQueue:
             self.speculated += 1
             self._copied.add((lease.seed, lease.attempt))
         return lease
+
+    def _pending_for(self, worker: Hashable) -> _PendingCell | None:
+        """Pop the first pending cell *worker* may take (see :meth:`next_lease`)."""
+        if self.leases:
+            for i, task in enumerate(self.pending):
+                if worker not in task.died_on:
+                    del self.pending[i]
+                    return task
+            return None
+        return self.pending.popleft()
 
     def _speculation_target(self, worker: Hashable) -> _PendingCell | None:
         """End-game: duplicate the longest-outstanding under-copied cell."""
@@ -241,6 +262,7 @@ class CellQueue:
             attempt=target.attempt,
             history=target.history,
             deaths=target.deaths,
+            died_on=target.died_on,
         )
 
     def heartbeat(self, worker: Hashable, now: float) -> bool:
@@ -274,7 +296,8 @@ class CellQueue:
         ``died=True`` (the worker process died holding the lease) is
         charge-free too, but the death is counted: after ``retries + 1``
         deaths the cell is quarantined as ``crash``, so a cell that kills
-        every worker it touches cannot livelock the sweep.  With other
+        every worker it touches cannot livelock the sweep; the dying
+        worker's key joins the cell's ``died_on``.  With other
         copies still outstanding, or the cell already completed, nothing
         is re-queued.  Returns the revoked lease (``None`` if the worker
         held none).
@@ -300,6 +323,7 @@ class CellQueue:
                     attempt=lease.attempt + (1 if charge_cell or died else 0),
                     history=history,
                     deaths=deaths,
+                    died_on=lease.died_on | {worker} if died else lease.died_on,
                 )
             )
         else:

@@ -171,6 +171,47 @@ class TestCellQueueUnit:
         assert len(failure.history) == 4
         assert seed not in queue.remaining and not queue.pending
 
+    def test_a_dying_slot_cannot_quarantine_a_cell_no_other_worker_ran(self):
+        # Cells S1, S2, X1, V, X2, X3, X4.  A and C keep S1 and S2; B
+        # completes a cell, then dies on the next one, four times over.
+        # B must stop drawing the cells it died on while A and C are busy,
+        # or V dies on B three times and is quarantined as a crash.
+        queue = CellQueue(_queue_cells(_spec())[:7], retries=2, lease_timeout=1.0)
+        victim = queue.pending[3].seed
+        queue.next_lease("A", now=0.0)
+        queue.next_lease("C", now=0.0)
+        for _ in range(4):
+            lease = queue.next_lease("B", now=0.0)
+            if lease is None:
+                break
+            queue.complete("B", lease.seed, [])
+            if queue.next_lease("B", now=0.0) is None:
+                break
+            queue.release("B", "crash: worker process died", died=True)
+        assert not queue.failures
+        held = queue.leases["A"].seed
+        queue.complete("A", held, [])
+        lease = queue.next_lease("A", now=0.0)
+        assert lease.seed == victim and lease.deaths == 1
+        assert lease.died_on == frozenset({"B"})
+
+    def test_a_cell_that_kills_every_worker_is_still_quarantined(self):
+        queue = CellQueue(_queue_cells(_spec())[:2], retries=2, lease_timeout=1.0)
+        seed = queue.pending[1].seed
+        queue.next_lease("A", now=0.0)  # keeps the first cell
+        for worker in ("B", "C"):
+            assert queue.next_lease(worker, now=0.0).seed == seed
+            queue.release(worker, "crash: worker process died", died=True)
+        assert queue.next_lease("B", now=0.0) is None  # A is still busy
+        queue.complete("A", queue.leases["A"].seed, [])
+        # Nobody else holds a lease: B may run it again, and its third
+        # death quarantines it.
+        assert queue.next_lease("B", now=0.0).seed == seed
+        queue.release("B", "crash: worker process died", died=True)
+        [failure] = queue.failures
+        assert failure.seed == seed and failure.kind == "crash"
+        assert queue.done
+
     def test_speculation_disabled_grants_nothing_in_endgame(self):
         queue = CellQueue(_queue_cells(_spec())[:1], lease_timeout=1.0, speculate=False)
         queue.next_lease(0, now=0.0)
