@@ -10,31 +10,37 @@ feasibility-greedy policy of this machine model:
   *admit a job iff the accepted-but-unfinished work, plus the new job, can
   still be completed by all deadlines on* ``m`` *migrating machines.*
 
-Feasibility is decided exactly with Horn's max-flow construction
-(:func:`migration_feasible`): since admission happens at release time,
-every active job is already released, so the network has one node per
-deadline-bounded interval with capacity :math:`m \\cdot |I|`, and
-job→interval arcs of capacity :math:`|I|` (a job cannot self-parallelise).
+Feasibility is Horn's max-flow test: the work is feasible iff the maximum
+flow through the interval network (one node per deadline-bounded interval
+with capacity :math:`m \\cdot |I|`, job→interval arcs of capacity
+:math:`|I|`, since a job cannot self-parallelise) carries all of it.
+Admission happens at release time, so every active job is already
+released and may use a *prefix* of the intervals.  Then some minimum cut
+is a prefix too, and :func:`migration_feasible` evaluates the cut formula
+directly, with no flow.
 
 Execution between submissions realises the *flow schedule* fluidly:
-the max-flow solution prescribes per-job work amounts per deadline-bounded
-interval; running every job at constant rate ``w_{j,l} / |I_l|`` inside
-interval ``I_l`` respects both the unit per-job rate cap and the ``m``
-total rate cap, hence is realisable by McNaughton wrap-around, and leaves a
-residual state that stays feasible.  (Global EDF — the tempting simpler
-executor — is *not* optimal for simultaneously released jobs on multiple
-machines: the test-suite pins a 7-job, 3-machine counterexample where EDF
-misses a deadline on a flow-feasible set.)
+the maximum flow of :func:`repro.offline.maxflow.horn_flow` prescribes
+per-job work amounts per deadline-bounded interval; running every job at
+constant rate ``w_{j,l} / |I_l|`` inside interval ``I_l`` respects both
+the unit per-job rate cap and the ``m`` total rate cap, hence is
+realisable by McNaughton wrap-around, and leaves a residual state that
+stays feasible.  The solver computes in exact scaled integers, so the plan
+is its own canonical one: the same on every process and hash seed.
+(Global EDF — the tempting simpler executor — is *not* optimal for
+simultaneously released jobs on multiple machines: the test-suite pins a
+7-job, 3-machine counterexample where EDF misses a deadline on a
+flow-feasible set.)
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.model.instance import Instance
 from repro.model.job import Job
+from repro.offline.maxflow import horn_flow
 from repro.utils.tolerances import TIME_EPS, fge, snap
 
 #: Flow amounts below this are treated as zero when comparing to demand.
@@ -58,8 +64,15 @@ def migration_feasible(
         Number of identical machines.
 
     Returns whether a preemptive schedule with migration completes every
-    remainder by its deadline.  Horn-style max-flow: feasible iff the
-    maximum flow equals the total remaining work.
+    remainder by its deadline: whether the maximum flow through Horn's
+    network equals the total remaining work.  Each job may use the
+    intervals ending by its deadline, a prefix of length ``e_j``, so some
+    minimum cut puts the first ``k`` intervals on the source side, and
+    the maximum flow is
+
+        ``min over k of  m·W[k] + sum_j min(r_j, max(0, W[e_j] - W[k]))``
+
+    with ``W`` the prefix sums of the interval widths.
     """
     work = [(snap(r), d) for r, d in remainders if r > TIME_EPS]
     if not work:
@@ -74,15 +87,16 @@ def migration_feasible(
     if not intervals:
         return total <= TIME_EPS
 
-    graph = nx.DiGraph()
-    for idx, (lo, hi) in enumerate(intervals):
-        graph.add_edge(f"I{idx}", "sink", capacity=machines * (hi - lo))
-    for jdx, (remaining, deadline) in enumerate(work):
-        graph.add_edge("src", f"J{jdx}", capacity=remaining)
-        for idx, (lo, hi) in enumerate(intervals):
-            if fge(deadline, hi):
-                graph.add_edge(f"J{jdx}", f"I{idx}", capacity=hi - lo)
-    value, _ = nx.maximum_flow(graph, "src", "sink")
+    prefix = [0.0]
+    for lo, hi in intervals:
+        prefix.append(prefix[-1] + (hi - lo))
+    his = [hi - TIME_EPS for _, hi in intervals]
+    # (work, width of the job's admissible prefix): fge(d, hi) on a prefix.
+    reach = [(r, prefix[bisect_right(his, d)]) for r, d in work]
+    value = min(
+        machines * cut + sum(min(r, max(0.0, width - cut)) for r, width in reach)
+        for cut in prefix
+    )
     return value >= total - _FLOW_TOL
 
 
@@ -95,35 +109,26 @@ def flow_schedule(
 
     Returns ``(flow_value, plan)`` where ``plan`` is a list of
     ``(interval_start, interval_end, per_job_work)`` entries (job order
-    matches *remainders*).  Each per-job amount is at most the interval
+    matches *remainders*).  ``flow_value`` is the exact maximum flow
+    rounded up to a float, and each amount is its arc's exact flow rounded
+    to the nearest float.  Each per-job amount is at most the interval
     length, and each interval's total is at most ``machines`` times its
-    length, so the plan is realisable by McNaughton wrap-around within each
-    interval — including any time-prefix of an interval at proportional
-    rates.
+    length (up to the rounding of the sum), so the plan is realisable by
+    McNaughton wrap-around within each interval — including any
+    time-prefix of an interval at proportional rates.
     """
     work = [(max(r, 0.0), d) for r, d in remainders]
     positive = [i for i, (r, _) in enumerate(work) if r > TIME_EPS]
     if not positive:
         return 0.0, []
-    events = sorted({now} | {d for i, (_, d) in enumerate(work) if i in positive})
-    intervals = [(lo, hi) for lo, hi in zip(events, events[1:]) if hi - lo > TIME_EPS]
-    graph = nx.DiGraph()
-    for idx, (lo, hi) in enumerate(intervals):
-        graph.add_edge(f"I{idx}", "sink", capacity=machines * (hi - lo))
-    for j in positive:
-        remaining, deadline = work[j]
-        graph.add_edge("src", f"J{j}", capacity=remaining)
-        for idx, (lo, hi) in enumerate(intervals):
-            if fge(deadline, hi):
-                graph.add_edge(f"J{j}", f"I{idx}", capacity=hi - lo)
-    value, flow = nx.maximum_flow(graph, "src", "sink")
+    flow = horn_flow([(now, work[j][0], work[j][1]) for j in positive], machines)
     plan = []
-    for idx, (lo, hi) in enumerate(intervals):
+    for (lo, hi), amounts in zip(flow.intervals, flow.plan()):
         per_job = [0.0] * len(work)
-        for j in positive:
-            per_job[j] = flow.get(f"J{j}", {}).get(f"I{idx}", 0.0)
+        for j, amount in zip(positive, amounts):
+            per_job[j] = amount
         plan.append((lo, hi, per_job))
-    return float(value), plan
+    return flow.value, plan
 
 
 @dataclass

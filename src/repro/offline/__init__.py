@@ -11,6 +11,9 @@ the library provides a portfolio:
   constructions);
 * :mod:`repro.offline.bounds` — certified *upper* bounds: the Horn-style
   preemption+migration max-flow relaxation and the trivial total load;
+* :mod:`repro.offline.maxflow` — Horn's interval network and an exact
+  max-flow (Dinic on power-of-two-scaled integer capacities), shared by
+  the flow bound and the migration baseline;
 * :mod:`repro.offline.heuristics` — certified *lower* bounds: multi-order
   insertion heuristics with gap filling.
 

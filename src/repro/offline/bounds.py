@@ -3,7 +3,7 @@
 The key bound is the *preemption + migration + fractional acceptance*
 relaxation: any non-preemptive schedule of accepted jobs induces a flow in
 Horn's interval network, so the maximum flow is an upper bound on the
-achievable load.  The network:
+achievable load.  The network (built by :func:`repro.offline.maxflow.horn_flow`):
 
 * event times = all releases and deadlines; consecutive events bound the
   intervals :math:`I_\\ell`;
@@ -14,48 +14,28 @@ achievable load.  The network:
 
 The value is exact for the preemptive-migration machine model (it equals
 that model's optimum when acceptance is all-or-nothing relaxed), which the
-migration baseline's tests exploit.
+migration baseline's tests exploit.  It is computed exactly: every
+capacity is a float, so one power-of-two scale makes the network integral,
+the maximum flow is found in Python ints, and the bound is the smallest
+float at or above the exact value.  It is therefore certified and the
+same on every platform, process and hash seed.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.model.instance import Instance
-from repro.utils.tolerances import TIME_EPS, fge
+from repro.offline.maxflow import horn_flow
 
 
 def flow_upper_bound(instance: Instance) -> float:
-    """Horn-relaxation upper bound on the offline optimal load."""
-    if len(instance) == 0:
-        return 0.0
-    events = sorted(
-        {float(j.release) for j in instance} | {float(j.deadline) for j in instance}
-    )
-    intervals = [
-        (lo, hi) for lo, hi in zip(events, events[1:]) if hi - lo > TIME_EPS
-    ]
-    # Integer node labels, not strings: networkx's flow algorithms iterate
-    # internal *sets* of nodes, and string hashing is randomised per process
-    # (PYTHONHASHSEED), which perturbs the float summation order and thus
-    # the last ulp of the flow value.  Small-int hashing is deterministic,
-    # so the bound is bit-identical across processes and hosts.
-    src, sink = 0, 1
-    interval_node = [2 + idx for idx in range(len(intervals))]
-    job_node_base = 2 + len(intervals)
-    graph = nx.DiGraph()
-    for idx, (lo, hi) in enumerate(intervals):
-        graph.add_edge(interval_node[idx], sink, capacity=instance.machines * (hi - lo))
-    for job in instance:
-        graph.add_edge(src, job_node_base + job.job_id, capacity=job.processing)
-        for idx, (lo, hi) in enumerate(intervals):
-            if fge(lo, job.release) and fge(job.deadline, hi):
-                graph.add_edge(
-                    job_node_base + job.job_id, interval_node[idx], capacity=hi - lo
-                )
-    value, _ = nx.maximum_flow(graph, src, sink)
-    return float(value)
+    """Horn-relaxation upper bound on the offline optimal load.
+
+    The exact maximum flow of Horn's network, rounded up to a float.
+    """
+    jobs = [(float(j.release), float(j.processing), float(j.deadline)) for j in instance]
+    return horn_flow(jobs, instance.machines).value
 
 
 def machine_window_upper_bound(instance: Instance) -> float:

@@ -61,7 +61,8 @@ from repro.offline.exact import EXACT_JOB_LIMIT
 #: Cache schema/semantics version.  Part of every key: bump it whenever
 #: the bracket computation or the entry layout changes meaning, and every
 #: previously written entry becomes unreachable (a clean global miss).
-CACHE_VERSION = 1
+#: Version 2: the flow bound is the exact maximum flow rounded up.
+CACHE_VERSION = 2
 
 #: Sentinel ``cache_dir`` selecting a memory-only cache (no disk tier).
 MEMORY_ONLY = ":memory:"

@@ -1,5 +1,11 @@
 """Unit tests for the migration-model baseline and its flow oracle."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 from repro.baselines.migration import (
@@ -10,6 +16,31 @@ from repro.baselines.migration import (
 from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.workloads import random_instance
+from tests.offline import flow_reference
+
+
+def _random_states(count, seed):
+    """``(now, remainders, machines)`` with integer or real times.
+
+    Every third state, a real-valued one, has its work scaled by
+    ``flow / total``, which puts it at or just around saturation.
+    """
+    rng = random.Random(seed)
+    states = []
+    for case in range(count):
+        machines, n = rng.randint(1, 4), rng.randint(1, 10)
+        now = rng.choice([0.0, rng.uniform(0.0, 50.0)])
+        if case % 3 == 0:
+            now = float(int(now))
+            rem = [(float(rng.randint(1, 6)), now + rng.randint(1, 12)) for _ in range(n)]
+        else:
+            rem = [(rng.uniform(0.01, 5.0), now + rng.uniform(0.01, 10.0)) for _ in range(n)]
+        if case % 3 == 2:
+            value, _ = flow_schedule(now, rem, machines)
+            share = value / sum(r for r, _ in rem)
+            rem = [(r * share, d) for r, d in rem]
+        states.append((now, rem, machines))
+    return states
 
 
 class TestFlowFeasibility:
@@ -42,6 +73,13 @@ class TestFlowFeasibility:
         assert migration_feasible(1.0, [(2.0, 3.0)], 1)
         assert not migration_feasible(1.5, [(2.0, 3.0)], 1)
 
+    def test_cut_formula_matches_networkx_reference(self):
+        states = _random_states(3000, seed=0)
+        new = [migration_feasible(*state) for state in states]
+        old = [flow_reference.migration_feasible(*state) for state in states]
+        assert new == old
+        assert 0 < sum(new) < len(new)
+
 
 class TestFlowSchedule:
     def test_plan_saturates_feasible_work(self):
@@ -59,6 +97,19 @@ class TestFlowSchedule:
     def test_empty_plan(self):
         value, plan = flow_schedule(0.0, [(0.0, 5.0)], 2)
         assert value == 0.0 and plan == []
+
+    def test_random_plans_saturate_feasible_work_within_both_caps(self):
+        checked = 0
+        for now, remainders, machines in _random_states(300, seed=1):
+            value, plan = flow_schedule(now, remainders, machines)
+            for lo, hi, per_job in plan:
+                assert all(0.0 <= w <= hi - lo for w in per_job)
+                assert sum(per_job) <= machines * (hi - lo) + 1e-9
+            if migration_feasible(now, remainders, machines):
+                checked += 1
+                for j, (rem, _) in enumerate(remainders):
+                    assert sum(p[j] for _, _, p in plan) == pytest.approx(rem, abs=1e-9)
+        assert checked > 50
 
 
 class TestScheduler:
@@ -96,3 +147,36 @@ class TestScheduler:
         inst = Instance(jobs, machines=2, epsilon=0.3)
         out = MigrationGreedyScheduler().run(inst)
         assert out.accepted_load == pytest.approx(8.0)
+
+
+_HASH_SEED_SCRIPT = """
+import json
+from repro.baselines.registry import run_algorithm
+from repro.workloads import random_instance
+
+instances = [random_instance(40, m, 0.2, seed=s) for m in (2, 3, 4) for s in range(10)]
+instances.append(random_instance(60, 3, 0.2, seed=1))
+rows = []
+for instance in instances:
+    result = run_algorithm("migration-greedy", instance)
+    rows.append([repr(result.accepted_load), sorted(result.detail.accepted_ids)])
+print(json.dumps(rows))
+"""
+
+
+def test_runs_do_not_depend_on_the_hash_seed():
+    # A max flow's plan is not unique: any order that follows
+    # PYTHONHASHSEED (set iteration over string labels, say) would change
+    # the executed plan, and so the rows, between processes.
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            capture_output=True, env=env, text=True, timeout=300, check=True,
+        )
+        outputs.append(json.loads(proc.stdout))
+    assert len(outputs[0]) == 31
+    assert outputs[0] == outputs[1]
