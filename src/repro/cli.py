@@ -368,7 +368,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.workloads.execute import ExecutionPolicy, execute_sweep
     from repro.workloads.journal import JournalError, JournalMismatchError
     from repro.workloads.random_instances import random_instance
-    from repro.workloads.resilient import SweepInterrupted
+    from repro.workloads.resilient import SeedCollisionError, SweepInterrupted
     from repro.workloads.sweep import SweepSpec, aggregate_rows, rows_to_csv
 
     cache = (
@@ -469,6 +469,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 spec,
                 ExecutionPolicy(cache=cache, backend=args.backend),
             )
+        except SeedCollisionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except KeyboardInterrupt:
             print("\ninterrupted: serial sweep discarded; re-run with --journal "
                   "PATH to checkpoint completed cells", file=sys.stderr)
@@ -504,7 +507,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = execute_sweep(spec, policy)
     except JournalMismatchError:
         raise
-    except JournalError as exc:
+    except (JournalError, SeedCollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepInterrupted as interrupted:

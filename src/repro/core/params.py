@@ -37,7 +37,10 @@ the ratio for consecutive :math:`q` gives the *forward chain*
 so that :math:`f_m` is a strictly increasing polynomial of :math:`c` of
 degree :math:`m - k + 1`.  We therefore obtain :math:`c(\\varepsilon, m)`
 by Brent root-finding of :math:`f_m(c) = (1+\\varepsilon)/\\varepsilon`
-(default), or, for small systems, by solving the explicit polynomial.
+(default), or, for small systems, by solving the explicit polynomial.  The
+root-finder is :func:`_brentq`, a port of scipy's ``brentq`` that returns
+the same float on every call (the test-suite checks it against
+:func:`scipy.optimize.brentq`), so importing the package needs numpy alone.
 
 Corner values come for free: at :math:`\\varepsilon_{k,m}` we have
 :math:`f_k = 2`, hence :math:`c = (2m+1)/k`; running the forward chain
@@ -56,7 +59,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ThresholdParameters",
@@ -278,6 +280,90 @@ class ThresholdParameters:
             raise AssertionError("monotonicity f_q < f_{q+1} violated")
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of *f* in ``[xa, xb]`` by Brent's method.
+
+    A port of scipy's ``brentq.c`` (Brent 1973, ch. 4): the same float
+    operations in the same order, the same stopping rule
+    ``|xblk - xcur| / 2 < (xtol + rtol |xcur|) / 2`` and the same early
+    return when an endpoint is a root, so it returns the float
+    :func:`scipy.optimize.brentq` returns.  Like scipy it raises
+    :class:`ValueError` for a bracket whose ends have the same sign or a
+    NaN residual, and :class:`RuntimeError` once *maxiter* iterations
+    pass without convergence.
+
+    At the top of each iteration the root lies between ``xcur`` (the
+    best estimate) and ``xblk``, and ``xpre`` is the previous estimate;
+    the step is an inverse quadratic (or secant) one when it is short
+    enough, a bisection otherwise.
+    """
+
+    def residual(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = residual(xpre)
+    fcur = residual(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:
+                    # C divides an underflowed denominator to inf or NaN,
+                    # which fails the short-step test below: bisect.
+                    stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = residual(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {maxiter} iterations, value is {xcur:.6g}"
+    )
+
+
 class BoundFunction:
     """The tight bound :math:`c(\\cdot, m)` for a fixed machine count.
 
@@ -326,7 +412,7 @@ class BoundFunction:
                     c_hi *= 2.0
                     if c_hi > 1e18:  # pragma: no cover - defensive
                         raise RuntimeError("bracketing for c diverged")
-                c_star = float(brentq(residual, c_lo, c_hi, xtol=_C_XTOL, rtol=1e-15))
+                c_star = _brentq(residual, c_lo, c_hi, xtol=_C_XTOL, rtol=1e-15)
         f = forward_f_chain(c_star, m, k)
         return ThresholdParameters(m=m, epsilon=epsilon, k=k, c=c_star, f=f)
 

@@ -171,8 +171,21 @@ class AdmissionController:
 
     @property
     def jobs(self) -> tuple[Job, ...]:
-        """Every job offered so far, in submission order (ids assigned)."""
+        """Every job offered so far, in submission order (ids assigned).
+
+        Copies the whole history; a request loop uses :attr:`job_count`
+        and :meth:`job`, which cost O(1) however long the session.
+        """
         return tuple(self._model.emitted)
+
+    @property
+    def job_count(self) -> int:
+        """How many jobs were offered so far: the next job's sequence number."""
+        return len(self._model.emitted)
+
+    def job(self, seq: int) -> Job:
+        """The job offered as number *seq* (0-based), with its id assigned."""
+        return self._model.emitted[seq]
 
     @property
     def decisions(self) -> list[Decision]:

@@ -27,7 +27,6 @@ grids never recompute an OPT reference they already certified.
 from repro.offline.exact import exact_optimum, ExactResult, EXACT_JOB_LIMIT
 from repro.offline.dp import single_machine_common_release_opt
 from repro.offline.bounds import flow_upper_bound, opt_upper_bound
-from repro.offline.lp import lp_upper_bound
 from repro.offline.heuristics import best_offline_schedule, opt_lower_bound
 from repro.offline.bracket import opt_bracket, OptBracket
 from repro.offline.cache import (
@@ -48,7 +47,6 @@ __all__ = [
     "single_machine_common_release_opt",
     "flow_upper_bound",
     "opt_upper_bound",
-    "lp_upper_bound",
     "best_offline_schedule",
     "opt_lower_bound",
     "opt_bracket",

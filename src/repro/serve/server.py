@@ -230,12 +230,12 @@ class AdmissionServer:
             )
         except ProtocolError as exc:
             return error_message(str(exc), tag)
-        seq = len(session.jobs)
+        seq = session.job_count
         try:
             decision = session.offer(job)
         except SimulationError as exc:
             return error_message(str(exc), tag)
-        stamped = session.jobs[seq]
+        stamped = session.job(seq)
         if self.journal is not None:
             self.journal.record_decision(seq, stamped, decision)
         message = decision_message(seq, stamped, decision, session.loads(), tag)
@@ -470,13 +470,15 @@ def run_server(config: ServeConfig) -> AdmissionServer:
     async def main() -> None:
         import signal
 
-        await server.start()
+        # Handlers first: a signal that arrives as soon as ``start``
+        # announces ``listening`` must drain and seal, not kill.
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
             try:
                 loop.add_signal_handler(sig, server.request_shutdown)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
+        await server.start()
         await server.serve_until_shutdown()
 
     asyncio.run(main())

@@ -50,6 +50,7 @@ from repro.workloads.resilient import (
     FailureManifest,
     ResilientSweepResult,
     SweepExecutionError,
+    check_seed_collisions,
     run_cells,
 )
 from repro.workloads.sweep import SweepSpec
@@ -298,12 +299,16 @@ def execute_sweep(
     ``shards > 1``.  Rows are bit-identical across paths for the same
     spec — the choice of policy is purely operational.
 
-    Raises :class:`~repro.workloads.resilient.SweepExecutionError` when
+    Raises :class:`~repro.workloads.resilient.SeedCollisionError`, before
+    any path starts, when two cells of the whole grid (every shard's)
+    share a seed.  Raises
+    :class:`~repro.workloads.resilient.SweepExecutionError` when
     ``policy.strict`` and any cell was quarantined; the serial path
     propagates cell exceptions directly (it has no quarantine machinery).
     """
     policy = policy if policy is not None else ExecutionPolicy()
     algorithm_kwargs = algorithm_kwargs or {}
+    check_seed_collisions(spec)
     cache = policy.resolve_cache()
     if policy.needs_processes:
         from repro.workloads.remote import run_lease_loop

@@ -107,7 +107,6 @@ from repro.workloads.resilient import (
     _assemble,
     _terminate,
     _terminate_all,
-    check_seed_collisions,
     prepare_journal,
     validate_sweep_pickles,
 )
@@ -555,7 +554,6 @@ def run_lease_loop(
     """
     validate_sweep_pickles(spec, algorithm_kwargs)
     cells = list(spec.cells()) if cells is None else list(cells)
-    check_seed_collisions(spec, cells)
     return _LeaseLoop(spec, policy, algorithm_kwargs, cache, cells, shard).run()
 
 

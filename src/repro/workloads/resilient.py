@@ -63,6 +63,15 @@ class SweepInterrupted(KeyboardInterrupt):
         self.result = result
 
 
+class SeedCollisionError(ValueError):
+    """Two cells of a sweep grid derive the same cell seed.
+
+    Cells are keyed by seed (journal, completed-cell map, shard plan), and
+    equal seeds draw equal instances, so such a grid is refused on every
+    execution path before any cell runs.
+    """
+
+
 @dataclass(frozen=True)
 class CellFailure:
     """One quarantined cell: where it died and how, attempt by attempt."""
@@ -460,21 +469,29 @@ def _terminate_all(
 # ---------------------------------------------------------------------------
 
 
-def check_seed_collisions(
-    spec: SweepSpec, cells: list[tuple[float, int, int]]
-) -> list[int]:
-    """Refuse to run a grid whose cell seeds collide; returns the seeds.
+def check_seed_collisions(spec: SweepSpec) -> None:
+    """Raise :class:`SeedCollisionError` if two cells of *spec* share a seed.
 
-    The journal and the completed-cell map key by seed; a collision would
-    silently conflate two cells' results.
+    The journal and the completed-cell map key by seed, and equal seeds
+    draw equal instances: a collision would conflate two cells' results
+    or run them as one correlated sample.
     """
-    seeds = [spec.cell_seed(*cell) for cell in cells]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(
-            "sweep grid produces colliding cell seeds; refusing to run — "
-            "check SweepSpec.cell_seed inputs"
+    owner: dict[int, tuple[float, int, int]] = {}
+    clashes: list[tuple[tuple[float, int, int], tuple[float, int, int], int]] = []
+    for cell in spec.cells():
+        seed = spec.cell_seed(*cell)
+        if seed in owner:
+            clashes.append((owner[seed], cell, seed))
+        else:
+            owner[seed] = cell
+    if clashes:
+        (eps_a, m_a, rep_a), (eps_b, m_b, rep_b), seed = clashes[0]
+        raise SeedCollisionError(
+            f"sweep grid has {len(clashes)} colliding cell seed(s), e.g. "
+            f"cells (eps={eps_a}, m={m_a}, rep={rep_a}) and "
+            f"(eps={eps_b}, m={m_b}, rep={rep_b}) share seed {seed}; "
+            "refusing to run — change the base seed or the repetitions"
         )
-    return seeds
 
 
 def prepare_journal(
@@ -538,6 +555,7 @@ __all__ = [
     "FailureManifest",
     "HostFailure",
     "ResilientSweepResult",
+    "SeedCollisionError",
     "SweepExecutionError",
     "SweepInterrupted",
     "WorkerFailure",

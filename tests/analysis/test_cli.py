@@ -201,6 +201,23 @@ class TestSweepCommand:
         assert code == 2
         assert "different files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--journal", "sweep.jsonl"]], ids=["serial", "journaled"]
+    )
+    def test_sweep_colliding_seeds_is_a_clean_error(self, tmp_path, capsys, extra):
+        from repro.cli import main
+
+        extra = [tmp_path / arg if arg.endswith(".jsonl") else arg for arg in extra]
+        code = main(
+            ["sweep", "--epsilons", "0.1,0.3", "--machines", "2,3", "--n", "6",
+             "--seed", "2020", "--repetitions", "70", *map(str, extra)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: sweep grid has 12 colliding cell seed")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_cloud_workload(self, capsys):
         from repro.cli import main
 

@@ -1,4 +1,4 @@
-"""Tests for the LP formulation of the Horn relaxation."""
+"""The LP formulation of the Horn relaxation, and the flow bound against it."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.offline.bounds import flow_upper_bound
 from repro.offline.exact import exact_optimum
-from repro.offline.lp import lp_upper_bound
 from repro.workloads import random_instance
+from tests.offline.lp_reference import lp_upper_bound
 
 
 def _inst(jobs, m=1, eps=0.5):

@@ -83,6 +83,14 @@ class TestBitIdentityWithSimulate:
         assert len(session.jobs) == 2
         assert sum(session.loads()) > 0.0
 
+    def test_job_count_and_job_index_the_history(self):
+        session = open_session("threshold", machines=2, epsilon=0.5)
+        assert session.job_count == 0
+        for i, job in enumerate(random_instance(20, 2, 0.5, seed=4)):
+            session.offer(job)
+            assert session.job_count == i + 1
+            assert session.job(i) == session.jobs[i] and session.job(i).job_id == i
+
 
 class TestSessionContract:
     def test_offer_time_must_match_release(self):

@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.engine.controller import AdmissionController
 from repro.serve.loadgen import drive_instance, percentile, run_bench
 from repro.serve.protocol import decode_line, encode_line
 from repro.serve.server import AdmissionServer, ServeConfig
@@ -240,6 +241,43 @@ class TestLoadGenerator:
 
         report = asyncio.run(main())
         assert report.accepted + report.rejected == 30
+
+
+class TestOfferHotPath:
+    def test_offers_never_copy_the_job_history(self, tmp_path, monkeypatch):
+        """Each offer reads one job of the session, not a copy of all of
+        them, so a long session costs the same per offer as a short one."""
+
+        def refuse(self):
+            raise AssertionError("offer_payload copied the whole job history")
+
+        monkeypatch.setattr(AdmissionController, "jobs", property(refuse))
+        log = tmp_path / "log.jsonl"
+        inst = mmpp_instance(200, machines=3, epsilon=0.5, seed=7)
+
+        async def main():
+            server = AdmissionServer(ServeConfig(
+                machines=3, epsilon=0.5, name=inst.name, decision_log=str(log)
+            ))
+            await server.start()
+            try:
+                return [
+                    server.offer_payload(
+                        {"release": job.release, "processing": job.processing,
+                         "deadline": job.deadline},
+                        tag=i,
+                    )
+                    for i, job in enumerate(inst)
+                ]
+            finally:
+                server.request_shutdown()
+                await server.serve_until_shutdown()
+
+        replies = asyncio.run(main())
+        assert [r["seq"] for r in replies] == list(range(200))
+        assert all(r["ok"] and r["tag"] == r["seq"] for r in replies)
+        ok, detail = verify_decision_log(log)
+        assert ok, detail
 
 
 class TestGracefulShutdown:

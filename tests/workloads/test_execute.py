@@ -13,7 +13,7 @@ from repro.offline.cache import BracketCache
 from repro.testing.chaos import ChaosPlan
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
 from repro.workloads.random_instances import random_instance
-from repro.workloads.resilient import SweepExecutionError
+from repro.workloads.resilient import SeedCollisionError, SweepExecutionError
 from repro.workloads.sweep import SweepSpec
 
 
@@ -125,3 +125,34 @@ class TestExecuteSweep:
         )
         assert result.rows == []
         assert result.manifest.quarantined == result.manifest.cells_total
+
+
+#: ``repro sweep``'s default grid at 70 repetitions: 12 of its 280 cells
+#: share a seed with another cell.  Split into two shards, neither shard's
+#: own cells collide, so only a check over the whole grid refuses it.
+_COLLIDING = dict(
+    epsilons=[0.1, 0.3], machine_counts=[2, 3], repetitions=70, base_seed=2020
+)
+
+
+class TestSeedCollisions:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {},
+            {"journal": "sweep.jsonl"},
+            {"shards": 2, "shard_index": 0, "journal": "shard0.jsonl"},
+            {"shards": 2, "shard_index": 1, "journal": "shard1.jsonl"},
+        ],
+        ids=["serial", "journaled", "shard-0-of-2", "shard-1-of-2"],
+    )
+    def test_every_path_refuses_the_grid_before_running(self, tmp_path, policy):
+        if "journal" in policy:
+            policy = {**policy, "journal": tmp_path / policy["journal"]}
+        with pytest.raises(SeedCollisionError, match="12 colliding cell seed"):
+            execute_sweep(_spec(**_COLLIDING), ExecutionPolicy(**policy))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_collision_free_grid_runs(self):
+        spec = _spec(**{**_COLLIDING, "repetitions": 40})
+        assert execute_sweep(spec).manifest.cells_completed == 160
