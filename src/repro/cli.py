@@ -232,6 +232,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (DecisionJournalError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if server.failure is not None:
+        print(f"error: {server.failure}; decision log left unsealed",
+              file=sys.stderr)
+        return 1
     stats = server.session.stats() if server.session is not None else None
     if stats is not None:
         drain = f"drained in {server.drain_seconds:.3f}s"
@@ -368,7 +372,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.workloads.execute import ExecutionPolicy, execute_sweep
     from repro.workloads.journal import JournalError, JournalMismatchError
     from repro.workloads.random_instances import random_instance
-    from repro.workloads.resilient import SeedCollisionError, SweepInterrupted
+    from repro.workloads.resilient import (
+        SeedCollisionError,
+        SingleMachineGridError,
+        SweepInterrupted,
+    )
     from repro.workloads.sweep import SweepSpec, aggregate_rows, rows_to_csv
 
     cache = (
@@ -469,7 +477,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 spec,
                 ExecutionPolicy(cache=cache, backend=args.backend),
             )
-        except SeedCollisionError as exc:
+        except (SeedCollisionError, SingleMachineGridError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except KeyboardInterrupt:
@@ -507,7 +515,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = execute_sweep(spec, policy)
     except JournalMismatchError:
         raise
-    except (JournalError, SeedCollisionError) as exc:
+    except (JournalError, SeedCollisionError, SingleMachineGridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepInterrupted as interrupted:

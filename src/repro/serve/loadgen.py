@@ -193,6 +193,8 @@ def run_bench(
         finally:
             server.request_shutdown()
             await server.serve_until_shutdown()
+            if server.failure is not None:
+                raise server.failure
         report.drain_seconds = server.drain_seconds
         return report, server
 

@@ -41,13 +41,17 @@ PROTOCOL_VERSION = 1
 OPS = ("offer", "stats", "watch", "ping", "shutdown")
 
 
+#: Built once (``json.dumps`` with options builds an encoder per call).
+_JSON = json.JSONEncoder(allow_nan=False)
+
+
 class ProtocolError(ValueError):
     """A request line or message violates the protocol."""
 
 
 def encode_line(message: Mapping[str, Any]) -> bytes:
     """Serialise one message as a newline-terminated JSON line."""
-    return (json.dumps(message, allow_nan=False) + "\n").encode("utf-8")
+    return (_JSON.encode(message) + "\n").encode("utf-8")
 
 
 def decode_line(raw: bytes | str) -> dict[str, Any]:

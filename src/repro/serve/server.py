@@ -11,12 +11,24 @@ AdmissionController` session.  Two listeners share the session:
   over asyncio streams so the service needs nothing beyond the standard
   library.
 
-Decisions are made *synchronously inside one event-loop tick*: decode →
-``session.offer`` → journal append (flush + fsync) → reply, with no
-``await`` between deciding and journalling, so the single-threaded loop
-serialises all offers and a crash can never acknowledge a decision it did
-not persist.  On SIGINT/SIGTERM the server stops accepting, drains open
-connections, seals the decision log and reports the drain time.
+The socket listener commits in groups.  Each read takes whatever bytes
+the connection has delivered; every complete request line in them is
+decided in order in one synchronous pass (decode → ``session.offer`` →
+journal stage → encode), the pass's decision records go to the journal
+with one write, one flush and one fsync, and only then do the pass's
+replies leave, in one write.  Nothing awaits between a pass's first
+decision and its commit, so the single-threaded loop serialises all
+offers, no watcher, stats reply or other connection sees a decision
+before it is on disk, and a crash can never acknowledge a decision it did
+not persist.  A ``watch`` or ``shutdown`` line ends the pass: the lines
+before it are committed and answered first.  The HTTP listener journals
+each offer durably before it replies.
+
+A failed journal commit stops the service: that pass's replies are never
+sent, nothing more is decided, the log is left unsealed and
+:attr:`AdmissionServer.failure` carries the error.  On SIGINT/SIGTERM the
+server stops accepting, drains open connections, seals the decision log
+and reports the drain time.
 """
 
 from __future__ import annotations
@@ -44,8 +56,12 @@ from repro.serve.snapshotter import (
     service_fingerprint,
 )
 
-#: Cap on one request line (1 MiB is far beyond any legal offer).
+#: Cap on one request line (1 MiB is far beyond any legal offer); a
+#: longer line gets a ``request too large`` error and its connection closes.
 MAX_LINE_BYTES = 1 << 20
+
+#: Most bytes one socket read takes (the stream reader's buffer limit).
+READ_BYTES = 1 << 16
 
 
 @dataclass
@@ -102,6 +118,10 @@ class AdmissionServer:
         self.started_at = 0.0
         self.drain_seconds: float | None = None
         self.drain_timed_out = False
+        #: The journal error that stopped the service (``None`` if none did).
+        self.failure: DecisionJournalError | None = None
+        #: Watch events of the pass being decided, published once it commits.
+        self._held_events: list[dict[str, Any]] | None = None
         self._servers: list[asyncio.base_events.Server] = []
         self._watchers: set[asyncio.Queue] = set()
         self._connections: set[asyncio.Task] = set()
@@ -208,7 +228,8 @@ class AdmissionServer:
                             transport.abort()
                     await settle
         if self.journal is not None:
-            self.journal.seal()
+            if self.failure is None:
+                self.journal.seal()
             self.journal.close()
         self.drain_seconds = time.monotonic() - t0
 
@@ -221,9 +242,15 @@ class AdmissionServer:
     # The decision hot path (synchronous within one event-loop tick)
     # ------------------------------------------------------------------
     def offer_payload(self, payload: Any, tag: Any = None) -> dict[str, Any]:
-        """Decide one offer and journal it; returns the reply message."""
+        """Decide one offer and journal it; returns the reply message.
+
+        Durable on return, unless called inside the journal's ``group``
+        (the socket listener's pass), which commits it on exit.
+        """
         session = self.session
         assert session is not None, "server not started"
+        if self.failure is not None:
+            return error_message(f"not deciding: {self.failure}", tag)
         try:
             job = job_from_message(
                 payload, clock=session.now, epsilon=session.epsilon
@@ -239,11 +266,72 @@ class AdmissionServer:
         if self.journal is not None:
             self.journal.record_decision(seq, stamped, decision)
         message = decision_message(seq, stamped, decision, session.loads(), tag)
-        event = dict(message)
-        event.pop("tag", None)
+        if self._watchers:
+            event = dict(message)
+            event.pop("tag", None)
+            if self._held_events is None:
+                self._publish(event)
+            else:
+                self._held_events.append(event)
+        return message
+
+    def _publish(self, event: dict[str, Any]) -> None:
         for queue in self._watchers:
             queue.put_nowait(event)
-        return message
+
+    def _fail(self, exc: DecisionJournalError) -> None:
+        """Fail stop: decide nothing more and shut down without a seal."""
+        if self.failure is None:
+            self.failure = exc
+        self.request_shutdown()
+
+    def _decide(self, lines: list[bytes]) -> tuple[list[bytes], str | None]:
+        """Answer request *lines* in order in one pass, committed on return.
+
+        Returns the encoded replies and, if the pass stopped at a
+        ``watch`` or ``shutdown`` line, that op (``shutdown``'s ack is the
+        last reply; ``watch`` acks itself).  The pass's decisions reach the
+        journal with one write, flush and fsync before this returns, and
+        their watch events are published only then; a failed commit
+        raises :class:`DecisionJournalError` and publishes nothing.
+        """
+        replies: list[bytes] = []
+        events = self._held_events = []
+        try:
+            if self.journal is None:
+                op = self._answer(lines, replies)
+            else:
+                with self.journal.group():
+                    op = self._answer(lines, replies)
+        finally:
+            self._held_events = None
+        for event in events:
+            self._publish(event)
+        return replies, op
+
+    def _answer(self, lines: list[bytes], replies: list[bytes]) -> str | None:
+        for raw in lines:
+            try:
+                message = decode_line(raw)
+            except ProtocolError as exc:
+                replies.append(encode_line(error_message(str(exc))))
+                continue
+            op = message["op"]
+            if op == "offer":
+                reply = self.offer_payload(message.get("job"), message.get("tag"))
+                replies.append(encode_line(reply))
+            elif op == "stats":
+                replies.append(encode_line(self.stats_payload()))
+            elif op == "ping":
+                replies.append(encode_line(
+                    {"ok": True, "kind": "pong", "protocol": PROTOCOL_VERSION}
+                ))
+            elif op == "shutdown":
+                replies.append(encode_line({"ok": True, "kind": "shutdown"}))
+                return op
+            else:  # watch
+                return op
+        return None
 
     def stats_payload(self) -> dict[str, Any]:
         session = self.session
@@ -279,53 +367,44 @@ class AdmissionServer:
         assert task is not None
         self._connections.add(task)
         self._writers.add(writer)
+        pending = b""  # a request line whose newline has not arrived yet
         try:
             while not self._stopping.is_set():
-                try:
-                    raw = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    ConnectionResetError,
-                ):  # pragma: no cover - client misbehaviour
+                chunk = await reader.read(READ_BYTES)
+                if chunk:
+                    *lines, pending = (pending + chunk).split(b"\n")
+                else:  # EOF: an unterminated last line is still a request
+                    lines, pending = ([pending] if pending else []), b""
+                too_large = len(pending) > MAX_LINE_BYTES
+                for i, raw in enumerate(lines):
+                    if len(raw) > MAX_LINE_BYTES:
+                        del lines[i:]
+                        too_large = True
+                        break
+                replies, op = self._decide(lines)
+                if replies:
+                    writer.write(b"".join(replies))
+                    await writer.drain()
+                if op == "watch":
+                    await self._stream_watch(writer)
                     break
-                if not raw:
+                if op == "shutdown":
+                    self.request_shutdown()
                     break
-                if len(raw) > MAX_LINE_BYTES:
+                if too_large:
                     writer.write(encode_line(error_message("request too large")))
                     await writer.drain()
                     break
-                try:
-                    message = decode_line(raw)
-                except ProtocolError as exc:
-                    writer.write(encode_line(error_message(str(exc))))
-                    await writer.drain()
-                    continue
-                tag = message.get("tag")
-                op = message["op"]
-                if op == "offer":
-                    reply = self.offer_payload(message.get("job"), tag)
-                    writer.write(encode_line(reply))
-                    await writer.drain()
-                elif op == "stats":
-                    writer.write(encode_line(self.stats_payload()))
-                    await writer.drain()
-                elif op == "ping":
-                    writer.write(
-                        encode_line(
-                            {"ok": True, "kind": "pong", "protocol": PROTOCOL_VERSION}
-                        )
-                    )
-                    await writer.drain()
-                elif op == "watch":
-                    await self._stream_watch(writer)
+                if not chunk:
                     break
-                elif op == "shutdown":
-                    writer.write(
-                        encode_line({"ok": True, "kind": "shutdown"})
-                    )
-                    await writer.drain()
-                    self.request_shutdown()
-                    break
+        except DecisionJournalError as exc:
+            # The pass's replies are dropped: none of it is known durable.
+            self._fail(exc)
+        except (
+            ConnectionResetError,
+            BrokenPipeError,
+        ):  # pragma: no cover - client went away mid-read or mid-reply
+            pass
         except asyncio.CancelledError:
             # Drain deadline expired on a still-open connection.  Absorb
             # the cancel and finish normally: every acknowledged decision
@@ -449,7 +528,11 @@ class AdmissionServer:
             except (ValueError, UnicodeDecodeError) as exc:
                 return "400 Bad Request", error_message(f"bad body: {exc}")
             payload = message.get("job", message if message else None)
-            reply = self.offer_payload(payload, message.get("tag"))
+            try:
+                reply = self.offer_payload(payload, message.get("tag"))
+            except DecisionJournalError as exc:
+                self._fail(exc)
+                return "503 Service Unavailable", error_message(str(exc))
             return ("200 OK" if reply["ok"] else "400 Bad Request"), reply
         if method == "POST" and path == "/shutdown":
             self.request_shutdown()
@@ -463,7 +546,9 @@ def run_server(config: ServeConfig) -> AdmissionServer:
     Installs SIGINT/SIGTERM handlers for graceful drain, serves until a
     shutdown is requested, and returns the server (drain timing included)
     for the caller to report on.  Raises :class:`DecisionJournalError` /
-    ``OSError`` before serving if the journal or sockets cannot be opened.
+    ``OSError`` before serving if the journal or sockets cannot be opened;
+    a journal commit that fails while serving stops the service and is
+    left in :attr:`AdmissionServer.failure`.
     """
     server = AdmissionServer(config)
 

@@ -1,12 +1,17 @@
 """Durable decision log: crash recovery through the sealed-journal machinery.
 
 Every decision the server makes is appended to an append-only JSONL
-journal *before* the reply leaves the process, using the same primitives
+journal *before* its reply leaves the process, using the same primitives
 as the sweep checkpoint journal (:mod:`repro.workloads.journal`): one
-self-contained record per line with a content CRC, flushed+fsync'd per
-append, a fingerprinted header binding the log to its service
-configuration, and a SHA-256 seal record on clean shutdown.  The log is
-simultaneously:
+self-contained record per line with a content CRC, a fingerprinted
+header binding the log to its service configuration, and a SHA-256 seal
+record on clean shutdown.  A record is written, flushed and fsync'd as
+it is appended, or, inside :meth:`DecisionJournal.group`, together with
+every other record of the group in one write, one flush and one fsync
+(group commit: the server answers a whole socket read that way).  A
+failed commit is never swallowed: the journal refuses every later write,
+so no decision that may have missed the disk is ever acknowledged.  The
+log is simultaneously:
 
 * the **snapshot** — deterministic policies rebuild their exact state by
   replaying the logged jobs (``repro serve --resume``), and resume
@@ -29,8 +34,9 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
 from repro.engine.controller import (
     AdmissionController,
@@ -68,10 +74,36 @@ def service_fingerprint(
     }
 
 
+#: Encoders built once (``json.dumps`` with options builds one per call).
+_JSON = json.JSONEncoder(allow_nan=False)
+_COMPACT_JSON = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+
+
 def decision_crc(seq: int, job: list[Any], dec: list[Any]) -> str:
     """8-hex-digit content CRC of one decision record."""
-    blob = json.dumps([int(seq), job, dec], allow_nan=False, separators=(",", ":"))
+    return _crc32_hex(_COMPACT_JSON.encode([int(seq), job, dec]))
+
+
+def _crc32_hex(blob: str) -> str:
     return format(zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, "08x")
+
+
+def _decision_line(seq: int, job: list[Any], dec: list[Any]) -> str:
+    """The log line of one decision record, newline included.
+
+    The bytes ``json.dumps`` writes for the record ``{"kind": "decision",
+    "seq", "job", "dec", "crc"}``, with each payload encoded once and
+    spliced into both the line and its CRC blob.  The payloads hold only
+    numbers, booleans and nulls, so dropping the space after each comma
+    gives the blob's compact form.
+    """
+    seq = int(seq)
+    job_json, dec_json = _JSON.encode(job), _JSON.encode(dec)
+    compact = f"[{seq},{job_json.replace(', ', ',')},{dec_json.replace(', ', ',')}]"
+    return (
+        f'{{"kind": "decision", "seq": {seq}, "job": {job_json}, '
+        f'"dec": {dec_json}, "crc": "{_crc32_hex(compact)}"}}\n'
+    )
 
 
 @dataclass
@@ -209,10 +241,12 @@ def load_decision_journal(path: str | os.PathLike[str]) -> DecisionLogState:
 class DecisionJournal:
     """Writer handle for the append-only decision log.
 
-    One :meth:`record_decision` per served request, flushed and fsync'd
-    before the reply is sent — once the client hears "committed", the
-    decision survives a crash.  :meth:`seal` closes a clean shutdown with
-    a verifiable SHA-256 seal (same shape as sweep-journal seals).
+    One :meth:`record_decision` per served request, durable before the
+    reply is sent — once the client hears "committed", the decision
+    survives a crash.  :meth:`group` makes a batch of decisions durable
+    with one write, flush and fsync.  :meth:`seal` closes a clean
+    shutdown with a verifiable SHA-256 seal (same shape as sweep-journal
+    seals).
     """
 
     def __init__(self, path: str, fh: IO[str], service: dict[str, Any]) -> None:
@@ -224,6 +258,10 @@ class DecisionJournal:
         self._hasher = hashlib.sha256()
         self._records = 0
         self.decisions = 0
+        #: Lines :meth:`record_decision` staged inside :meth:`group`.
+        self._staged: list[str] | None = None
+        #: The error of the commit that failed; every later write refuses.
+        self._failed: OSError | None = None
 
     @classmethod
     def create(
@@ -288,19 +326,41 @@ class DecisionJournal:
                 pass
 
     def record_decision(self, seq: int, job: Job, decision: Any) -> None:
-        """Append one served decision (durable once this returns)."""
-        job_payload = job_to_payload(job)
-        dec_payload = decision_to_payload(decision)
-        self._append(
-            {
-                "kind": "decision",
-                "seq": int(seq),
-                "job": job_payload,
-                "dec": dec_payload,
-                "crc": decision_crc(int(seq), job_payload, dec_payload),
-            }
+        """Append one served decision.
+
+        Outside :meth:`group` the record is written, flushed and fsync'd
+        before this returns.  Inside it the record is staged, and it is
+        durable once the group has committed.
+        """
+        line = _decision_line(
+            seq, job_to_payload(job), decision_to_payload(decision)
         )
+        if self._staged is None:
+            self._commit([line])
+        else:
+            self._staged.append(line)
         self.decisions += 1
+
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """Commit every decision recorded in the block together on exit.
+
+        The staged records go out with one write, one flush and one fsync,
+        byte for byte the lines one commit per record would have written.
+        They are committed even when the block raises: the session has
+        made those decisions, so the log must hold them to stay its exact
+        replay.  A caller must not acknowledge any of them before the
+        block has exited without error.
+        """
+        if self._staged is not None:
+            raise RuntimeError("decision-journal groups do not nest")
+        self._staged = []
+        try:
+            yield
+        finally:
+            staged, self._staged = self._staged, None
+            if staged:
+                self._commit(staged)
 
     def seal(self) -> None:
         """Close a clean shutdown with a covering seal (stays resumable)."""
@@ -315,18 +375,40 @@ class DecisionJournal:
 
     def close(self) -> None:
         if not self._fh.closed:
-            self._fh.close()
+            try:
+                self._fh.close()
+            except OSError:
+                # Closing re-flushes what a failed commit left buffered.
+                if self._failed is None:
+                    raise
 
     def _append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, allow_nan=False) + "\n"
-        self._fh.write(line)
-        self._fh.flush()
-        self._hasher.update(line.encode("utf-8"))
-        self._records += 1
+        self._commit([_JSON.encode(record) + "\n"])
+
+    def _commit(self, lines: list[str]) -> None:
+        """Write, flush and fsync *lines*; fail stop on any error.
+
+        After a failed fsync a later one can succeed although the dirty
+        pages were lost, so the journal refuses every write after the
+        first failure instead of retrying.
+        """
+        if self._failed is not None:
+            raise DecisionJournalError(
+                f"{self.path}: decision log failed earlier ({self._failed}); "
+                "refusing to write"
+            )
+        data = "".join(lines)
         try:
+            self._fh.write(data)
+            self._fh.flush()
             os.fsync(self._fh.fileno())
-        except (OSError, ValueError):  # pragma: no cover - mock sinks
-            pass
+        except OSError as exc:
+            self._failed = exc
+            raise DecisionJournalError(
+                f"{self.path}: decision log commit failed: {exc}"
+            ) from exc
+        self._hasher.update(data.encode("utf-8"))
+        self._records += len(lines)
 
 
 # ---------------------------------------------------------------------------

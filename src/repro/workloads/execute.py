@@ -50,6 +50,7 @@ from repro.workloads.resilient import (
     FailureManifest,
     ResilientSweepResult,
     SweepExecutionError,
+    check_machine_counts,
     check_seed_collisions,
     run_cells,
 )
@@ -301,7 +302,9 @@ def execute_sweep(
 
     Raises :class:`~repro.workloads.resilient.SeedCollisionError`, before
     any path starts, when two cells of the whole grid (every shard's)
-    share a seed.  Raises
+    share a seed, and
+    :class:`~repro.workloads.resilient.SingleMachineGridError` when it
+    pairs a single-machine-only algorithm with more machines.  Raises
     :class:`~repro.workloads.resilient.SweepExecutionError` when
     ``policy.strict`` and any cell was quarantined; the serial path
     propagates cell exceptions directly (it has no quarantine machinery).
@@ -309,6 +312,7 @@ def execute_sweep(
     policy = policy if policy is not None else ExecutionPolicy()
     algorithm_kwargs = algorithm_kwargs or {}
     check_seed_collisions(spec)
+    check_machine_counts(spec)
     cache = policy.resolve_cache()
     if policy.needs_processes:
         from repro.workloads.remote import run_lease_loop

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.baselines.registry import run_algorithm
+from repro.baselines.registry import ALGORITHMS, run_algorithm
 from repro.core.guarantees import guarantee_for
 from repro.offline.cache import BracketCache, CacheStats
 from repro.workloads.journal import SweepJournal, spec_fingerprint
@@ -69,6 +69,14 @@ class SeedCollisionError(ValueError):
     Cells are keyed by seed (journal, completed-cell map, shard plan), and
     equal seeds draw equal instances, so such a grid is refused on every
     execution path before any cell runs.
+    """
+
+
+class SingleMachineGridError(ValueError):
+    """A single-machine-only algorithm is paired with more machines.
+
+    Every such cell would fail the same way, so the grid is refused on
+    every execution path before any cell runs.
     """
 
 
@@ -494,6 +502,19 @@ def check_seed_collisions(spec: SweepSpec) -> None:
         )
 
 
+def check_machine_counts(spec: SweepSpec) -> None:
+    """Raise :class:`SingleMachineGridError` if *spec* runs a
+    single-machine-only algorithm on more than one machine."""
+    wide = [m for m in spec.machine_counts if m != 1]
+    for name in spec.algorithms:
+        algorithm = ALGORITHMS.get(name)
+        if wide and algorithm is not None and algorithm.single_machine_only:
+            raise SingleMachineGridError(
+                f"{name} only runs on single-machine instances, but the sweep "
+                f"grid also gives it machine count(s) {', '.join(map(str, wide))}"
+            )
+
+
 def prepare_journal(
     spec: SweepSpec,
     cells: list[tuple[float, int, int]],
@@ -556,9 +577,11 @@ __all__ = [
     "HostFailure",
     "ResilientSweepResult",
     "SeedCollisionError",
+    "SingleMachineGridError",
     "SweepExecutionError",
     "SweepInterrupted",
     "WorkerFailure",
+    "check_machine_counts",
     "check_seed_collisions",
     "prepare_journal",
     "run_cell",

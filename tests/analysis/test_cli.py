@@ -218,6 +218,30 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--journal", "sweep.jsonl"]], ids=["serial", "journaled"]
+    )
+    def test_sweep_single_machine_algorithm_on_more_machines_is_a_clean_error(
+        self, tmp_path, capsys, extra
+    ):
+        from repro.cli import main
+
+        extra = [tmp_path / arg if arg.endswith(".jsonl") else arg for arg in extra]
+        code = main(
+            ["sweep", "--workload", "cloud", "--epsilons", "0.2",
+             "--machines", "1,2", "--algorithms", "threshold,classify-select",
+             "--n", "10", "--repetitions", "1", "--seed", "9", "--no-cache",
+             *map(str, extra)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "error: classify-select only runs on single-machine instances"
+        )
+        assert "machine count(s) 2" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_cloud_workload(self, capsys):
         from repro.cli import main
 

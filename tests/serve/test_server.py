@@ -9,6 +9,7 @@ uninterrupted run.
 """
 
 import asyncio
+import errno
 import json
 import os
 import signal
@@ -22,7 +23,7 @@ import pytest
 from repro.engine.controller import AdmissionController
 from repro.serve.loadgen import drive_instance, percentile, run_bench
 from repro.serve.protocol import decode_line, encode_line
-from repro.serve.server import AdmissionServer, ServeConfig
+from repro.serve.server import MAX_LINE_BYTES, AdmissionServer, ServeConfig
 from repro.serve.snapshotter import (
     load_decision_journal,
     verify_decision_log,
@@ -155,6 +156,72 @@ class TestSocketTransport:
         assert [e["seq"] for e in events] == [0, 1]
         assert all(e["kind"] == "decision" for e in events)
 
+    def test_oversized_lines_get_their_reply(self):
+        """A line past the stream reader's 64 KiB limit is still served; one
+        past MAX_LINE_BYTES gets ``request too large`` and a close, and the
+        loop's exception handler hears of neither."""
+        loop_errors = []
+
+        def exchange(port, payload):
+            """Send *payload*, then read until the server closes."""
+            data = b""
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=10
+            ) as sock:
+                try:
+                    sock.sendall(payload)
+                    sock.shutdown(socket.SHUT_WR)
+                except OSError:
+                    pass  # closed on us mid-send: any reply is already queued
+                try:
+                    while chunk := sock.recv(1 << 16):
+                        data += chunk
+                except ConnectionResetError:
+                    pass
+            return [json.loads(line) for line in data.splitlines()]
+
+        def padded(op, size):
+            line = encode_line({"op": op, "pad": ""})
+            return encode_line({"op": op, "pad": "x" * (size - len(line))})
+
+        async def body(server):
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda loop, ctx: loop_errors.append(ctx)
+            )
+            port = server.socket_port
+            ping = padded("ping", 70_000)
+            assert len(ping) == 70_000
+            big, huge = padded("ping", MAX_LINE_BYTES), padded("ping", 2_000_000)
+            served = await loop.run_in_executor(
+                None, exchange, port, ping + encode_line({"op": "ping"}) + big
+            )
+            assert [r["kind"] for r in served] == ["pong", "pong", "pong"]
+            refused = await loop.run_in_executor(
+                None, exchange, port, encode_line({"op": "ping"}) + huge + ping
+            )
+            assert refused == [
+                {"ok": True, "kind": "pong", "protocol": 1},
+                {"ok": False, "kind": "error", "error": "request too large"},
+            ]
+
+        _with_server(ServeConfig(machines=1, epsilon=0.5), body)
+        assert loop_errors == []
+
+    def test_unterminated_last_line_is_served(self):
+        async def body(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.socket_port
+            )
+            writer.write(encode_line({"op": "ping"}) + b'{"op": "stats"}')
+            writer.write_eof()
+            replies = [json.loads(r) for r in (await reader.read()).splitlines()]
+            writer.close()
+            await writer.wait_closed()
+            assert [r["kind"] for r in replies] == ["pong", "stats"]
+
+        _with_server(ServeConfig(machines=1, epsilon=0.5), body)
+
 
 class TestHttpTransport:
     def test_routes(self):
@@ -278,6 +345,255 @@ class TestOfferHotPath:
         assert all(r["ok"] and r["tag"] == r["seq"] for r in replies)
         ok, detail = verify_decision_log(log)
         assert ok, detail
+
+
+def _offer_lines(jobs):
+    return [
+        encode_line({
+            "op": "offer", "tag": i,
+            "job": {"release": job.release, "processing": job.processing,
+                    "deadline": job.deadline},
+        })
+        for i, job in enumerate(jobs)
+    ]
+
+
+async def _read_replies(reader, n):
+    return [json.loads(await reader.readline()) for _ in range(n)]
+
+
+class TestGroupCommit:
+    """One socket read, one journal commit, then that read's replies."""
+
+    def test_a_window_of_offers_costs_at_most_two_fsyncs(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "log.jsonl"
+        inst = mmpp_instance(64, machines=2, epsilon=0.5, seed=40)
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        async def body(server):
+            monkeypatch.setattr(os, "fsync", counting_fsync)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.socket_port
+            )
+            writer.write(b"".join(_offer_lines(inst.jobs)))
+            await writer.drain()
+            replies = await _read_replies(reader, 64)
+            writer.close()
+            await writer.wait_closed()
+            assert len(fsyncs) <= 2
+            assert [(r["tag"], r["seq"]) for r in replies] == [
+                (i, i) for i in range(64)
+            ]
+
+        _with_server(ServeConfig(
+            machines=2, epsilon=0.5, name=inst.name, decision_log=str(log)
+        ), body)
+        assert 1 <= len(fsyncs) <= 3  # and the seal
+        ok, detail = verify_decision_log(log)
+        assert ok, detail
+        assert load_decision_journal(log).sealed
+
+    def test_pipelined_log_is_byte_identical_to_one_at_a_time(self, tmp_path):
+        inst = mmpp_instance(300, machines=3, epsilon=0.5, seed=41)
+        lines = _offer_lines(inst.jobs)
+
+        async def pipelined(server):
+            report = await drive_instance(
+                "127.0.0.1", server.socket_port, inst, window=64
+            )
+            assert report.errors == 0
+
+        async def one_at_a_time(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.socket_port
+            )
+            for line in lines:
+                writer.write(line)
+                await writer.drain()
+                assert json.loads(await reader.readline())["ok"]
+            writer.close()
+            await writer.wait_closed()
+
+        logs = []
+        for body in (pipelined, one_at_a_time):
+            logs.append(tmp_path / f"{body.__name__}.jsonl")
+            _with_server(ServeConfig(
+                machines=3, epsilon=0.5, name=inst.name,
+                decision_log=str(logs[-1]),
+            ), body)
+        assert logs[0].read_bytes() == logs[1].read_bytes()
+        assert len(load_decision_journal(logs[0]).decisions) == 300
+
+    def test_no_reply_leaves_before_its_record_is_durable(
+        self, tmp_path, monkeypatch
+    ):
+        """Order the journal's fsyncs against the server's socket writes: every
+        decision a write carries is in the file at the last fsync before it."""
+        log = tmp_path / "log.jsonl"
+        inst = mmpp_instance(400, machines=2, epsilon=0.5, seed=42)
+        durable = [0]  # decision records on disk as of the last fsync
+        checked, early = [], []
+        real_fsync, real_write = os.fsync, asyncio.StreamWriter.write
+
+        def fsync(fd):
+            real_fsync(fd)
+            durable[0] = log.read_bytes().count(b'"kind": "decision"')
+
+        async def body(server):
+            def write(writer, data):
+                if writer in server._writers:
+                    for line in data.splitlines():
+                        seq = json.loads(line).get("seq")
+                        if seq is not None:
+                            checked.append(seq)
+                            if seq >= durable[0]:
+                                early.append((seq, durable[0]))
+                return real_write(writer, data)
+
+            monkeypatch.setattr(os, "fsync", fsync)
+            monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+            report = await drive_instance(
+                "127.0.0.1", server.socket_port, inst, window=64
+            )
+            assert report.errors == 0
+
+        _with_server(ServeConfig(
+            machines=2, epsilon=0.5, name=inst.name, decision_log=str(log)
+        ), body)
+        assert checked == list(range(400))
+        assert early == []
+
+
+class TestFailStop:
+    """A failed journal commit is never acknowledged, and stops the service."""
+
+    def test_failed_fsync_sends_no_reply_and_decides_nothing_more(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "log.jsonl"
+        inst = mmpp_instance(20, machines=2, epsilon=0.5, seed=43)
+        lines = _offer_lines(inst.jobs)
+
+        def broken_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        async def main():
+            server = AdmissionServer(ServeConfig(
+                machines=2, epsilon=0.5, name=inst.name, decision_log=str(log)
+            ))
+            await server.start()
+            port = server.socket_port
+            watch_reader, watch_writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            watch_writer.write(encode_line({"op": "watch"}))
+            assert json.loads(await watch_reader.readline())["kind"] == "watch"
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"".join(lines[:5]))
+            assert len(await _read_replies(reader, 5)) == 5
+            monkeypatch.setattr(os, "fsync", broken_fsync)
+            writer.write(b"".join(lines[5:10]))
+            # Closed, with no reply, and the service is shutting down.
+            assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+            await asyncio.wait_for(server.serve_until_shutdown(), timeout=10)
+            # The watcher saw only the decisions that reached the disk.
+            watched = await asyncio.wait_for(watch_reader.read(), timeout=10)
+            for w in (writer, watch_writer):
+                w.close()
+                await w.wait_closed()
+            return server, [json.loads(e)["seq"] for e in watched.splitlines()]
+
+        server, watched = asyncio.run(main())
+        assert watched == [0, 1, 2, 3, 4]
+        assert "Input/output error" in str(server.failure)
+        # Nothing more is decided, on any transport.
+        refused = server.offer_payload(
+            {"release": 99.0, "processing": 1.0, "deadline": 101.0}
+        )
+        assert refused["ok"] is False and "not deciding" in refused["error"]
+        assert server.session.job_count == 10
+        assert not load_decision_journal(log).sealed
+
+    def test_http_offer_gets_503_when_its_commit_fails(self, tmp_path, monkeypatch):
+        log = tmp_path / "log.jsonl"
+
+        def broken_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        def post_offer(port):
+            body = json.dumps({"job": {"release": 0.0, "processing": 1.0,
+                                       "deadline": 2.0}}).encode()
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{port}/offer", data=body, method="POST"
+            )
+            try:
+                with urllib.request.urlopen(req, timeout=10) as response:
+                    return response.status, json.loads(response.read())
+            except urllib.error.HTTPError as err:
+                return err.code, json.loads(err.read())
+
+        async def body(server):
+            monkeypatch.setattr(os, "fsync", broken_fsync)
+            status, reply = await asyncio.get_running_loop().run_in_executor(
+                None, post_offer, server.http_port
+            )
+            assert status == 503 and not reply["ok"]
+            assert "commit failed" in reply["error"]
+
+        server = _with_server(
+            ServeConfig(machines=1, epsilon=0.5, decision_log=str(log)), body
+        )
+        assert server.failure is not None
+        assert not load_decision_journal(log).sealed
+
+    def test_repro_serve_exits_nonzero_on_a_failed_commit(self, tmp_path):
+        """The CLI, with ``os.fsync`` failing after the header's commit."""
+        log = tmp_path / "log.jsonl"
+        launcher = (
+            "import errno, os, sys\n"
+            "calls = []\n"
+            "real = os.fsync\n"
+            "def fsync(fd):\n"
+            "    calls.append(fd)\n"
+            "    if len(calls) > 1:\n"
+            "        raise OSError(errno.EIO, 'Input/output error')\n"
+            "    return real(fd)\n"
+            "os.fsync = fsync\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", launcher, "serve", "--m", "2", "--eps", "0.5",
+             "--decision-log", str(log)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_serve_env(),
+            text=True,
+        )
+        try:
+            announcement = json.loads(proc.stdout.readline())
+            with socket.create_connection(
+                ("127.0.0.1", announcement["socket_port"]), timeout=10
+            ) as sock:
+                sock.sendall(b"".join(_offer_lines(
+                    mmpp_instance(8, machines=2, epsilon=0.5, seed=44).jobs
+                )))
+                assert sock.recv(1 << 16) == b""  # no reply, connection closed
+            _, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1
+        assert err.startswith("error: ") and "decision log commit failed" in err
+        assert "Traceback" not in err
+        state = load_decision_journal(log)
+        assert not state.sealed
 
 
 class TestGracefulShutdown:
@@ -409,16 +725,21 @@ class TestGracefulShutdown:
 # ---------------------------------------------------------------------------
 
 
-def _spawn_server(log_path, *extra):
+def _serve_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
+    return env
+
+
+def _spawn_server(log_path, *extra):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--m", "2", "--eps", "0.5",
          "--decision-log", str(log_path), *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_serve_env(),
+        text=True,
     )
     announcement = json.loads(proc.stdout.readline())
     assert announcement["kind"] == "listening"
@@ -443,6 +764,47 @@ def _offer_jobs(port, jobs):
                 [reply["accepted"], reply["machine"], reply["start"]]
             )
     return decisions
+
+
+def _stop(proc, sig=signal.SIGTERM):
+    """Signal *proc*, wait for it and close its pipes; returns its exit code."""
+    proc.send_signal(sig)
+    proc.communicate(timeout=20)
+    return proc.returncode
+
+
+def _offer_window(port, jobs, window=64, kill=None):
+    """Keep *window* offers in flight; returns (decisions, offers in flight).
+
+    With ``kill=(after, proc)``, SIGKILLs *proc* once *after* replies are in
+    and the window is full again, then reads whatever replies still arrive.
+    """
+    lines = _offer_lines(jobs)
+    decisions, buf, sent, in_flight = [], b"", 0, 0
+    with socket.create_connection(("127.0.0.1", port), timeout=20) as sock:
+        while len(decisions) < len(lines):
+            upto = min(len(lines), len(decisions) + window)
+            if sent < upto:
+                sock.sendall(b"".join(lines[sent:upto]))
+                sent = upto
+            if kill is not None and len(decisions) >= kill[0]:
+                in_flight = sent - len(decisions)
+                _stop(kill[1], signal.SIGKILL)
+                kill = None
+            try:
+                chunk = sock.recv(1 << 16)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            *replies, buf = (buf + chunk).split(b"\n")
+            for raw in replies:
+                reply = json.loads(raw)
+                assert reply["ok"] and reply["tag"] == len(decisions), reply
+                decisions.append(
+                    [reply["accepted"], reply["machine"], reply["start"]]
+                )
+    return decisions, in_flight
 
 
 class TestChaosKillResume:
@@ -492,17 +854,54 @@ class TestChaosKillResume:
             assert ok, detail
         assert load_decision_journal(log).sealed
 
+    def test_kill_with_a_window_in_flight_loses_no_acknowledged_decision(
+        self, tmp_path
+    ):
+        """SIGKILL with 64 offers in flight: every decision the client got
+        a reply for is in the log, and the log plus the resumed run's
+        decisions equal an uninterrupted run's."""
+        inst = mmpp_instance(600, machines=2, epsilon=0.5, seed=31)
+
+        ref_log = tmp_path / "uninterrupted.jsonl"
+        proc, announcement = _spawn_server(ref_log)
+        try:
+            reference, _ = _offer_window(announcement["socket_port"], inst.jobs)
+        finally:
+            assert _stop(proc) == 0
+        assert len(reference) == 600
+
+        log = tmp_path / "chaos.jsonl"
+        proc, announcement = _spawn_server(log)
+        try:
+            acked, in_flight = _offer_window(
+                announcement["socket_port"], inst.jobs, kill=(200, proc)
+            )
+            assert in_flight == 64
+            state = load_decision_journal(log)
+            assert not state.sealed
+            logged = state.decisions
+            assert len(acked) <= len(logged)
+            assert acked == logged[: len(acked)]
+
+            proc, announcement = _spawn_server(log, "--resume")
+            assert announcement["resumed_decisions"] == len(logged)
+            after, _ = _offer_window(
+                announcement["socket_port"], inst.jobs[len(logged):]
+            )
+        finally:
+            assert _stop(proc) == 0
+
+        assert logged + after == reference
+        ok, detail = verify_decision_log(log)
+        assert ok, detail
+        assert load_decision_journal(log).sealed
+
     def test_resume_without_log_fails_cleanly(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "serve", "--m", "2",
              "--eps", "0.5", "--decision-log",
              str(tmp_path / "missing.jsonl"), "--resume"],
-            capture_output=True, env=env, text=True, timeout=60,
+            capture_output=True, env=_serve_env(), text=True, timeout=60,
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr

@@ -1,13 +1,18 @@
 """The sealed decision log: durability, tamper detection, offline replay."""
 
 import json
+import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine.controller import open_session
 from repro.serve.snapshotter import (
     DecisionJournal,
     DecisionJournalError,
+    _decision_line,
+    decision_crc,
     load_decision_journal,
     replay_decision_log,
     service_fingerprint,
@@ -69,6 +74,40 @@ class TestJournalLifecycle:
         headerless.write_text('{"kind": "decision", "seq": 0}\n' * 2)
         with pytest.raises(DecisionJournalError, match="before header"):
             load_decision_journal(headerless)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRecordBytes:
+    @given(
+        seq=st.integers(0, 10**12),
+        job=st.tuples(_finite, _finite, _finite, st.none() | _finite).map(list),
+        dec=st.tuples(
+            st.booleans(), st.none() | st.integers(0, 4096), st.none() | _finite
+        ).map(list),
+    )
+    def test_decision_line_is_json_dumps_of_the_record(self, seq, job, dec):
+        record = {"kind": "decision", "seq": seq, "job": job, "dec": dec,
+                  "crc": decision_crc(seq, job, dec)}
+        expected = json.dumps(record, allow_nan=False) + "\n"
+        assert _decision_line(seq, job, dec) == expected
+
+    def test_non_finite_payloads_are_refused(self):
+        with pytest.raises(ValueError):
+            _decision_line(0, [0.0, float("nan"), 1.0, None], [False, None, None])
+
+
+class TestFailStop:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_disk_fails_the_commit_and_every_later_write(self):
+        service = service_fingerprint("threshold", 2, 0.4)
+        journal = DecisionJournal("/dev/full", open("/dev/full", "w"), service)
+        with pytest.raises(DecisionJournalError, match="commit failed.*No space"):
+            journal.seal()
+        with pytest.raises(DecisionJournalError, match="failed earlier"):
+            journal.seal()
+        journal.close()  # re-flushing the failed bytes fails again, quietly
 
 
 class TestCrashRecovery:

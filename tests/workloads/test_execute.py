@@ -13,7 +13,11 @@ from repro.offline.cache import BracketCache
 from repro.testing.chaos import ChaosPlan
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
 from repro.workloads.random_instances import random_instance
-from repro.workloads.resilient import SeedCollisionError, SweepExecutionError
+from repro.workloads.resilient import (
+    SeedCollisionError,
+    SingleMachineGridError,
+    SweepExecutionError,
+)
 from repro.workloads.sweep import SweepSpec
 
 
@@ -156,3 +160,26 @@ class TestSeedCollisions:
     def test_a_collision_free_grid_runs(self):
         spec = _spec(**{**_COLLIDING, "repetitions": 40})
         assert execute_sweep(spec).manifest.cells_completed == 160
+
+
+class TestSingleMachineAlgorithms:
+    @pytest.mark.parametrize(
+        "policy", [{}, {"journal": "sweep.jsonl"}], ids=["serial", "journaled"]
+    )
+    def test_every_path_refuses_more_machines_before_running(self, tmp_path, policy):
+        if "journal" in policy:
+            policy = {**policy, "journal": tmp_path / policy["journal"]}
+        spec = _spec(
+            machine_counts=[1, 2, 3],
+            algorithms=["greedy", "goldwasser-kerbikov"],
+        )
+        with pytest.raises(
+            SingleMachineGridError,
+            match=r"goldwasser-kerbikov .* machine count\(s\) 2, 3$",
+        ):
+            execute_sweep(spec, ExecutionPolicy(**policy))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_single_machine_grid_runs(self):
+        spec = _spec(algorithms=["greedy", "goldwasser-kerbikov"])
+        assert execute_sweep(spec).manifest.cells_completed == 4
