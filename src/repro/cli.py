@@ -376,9 +376,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         SeedCollisionError,
         SingleMachineGridError,
         SweepInterrupted,
+        UnknownAlgorithmError,
     )
     from repro.workloads.sweep import SweepSpec, aggregate_rows, rows_to_csv
 
+    # A grid that execute_sweep refuses before any cell runs: exit 2.
+    grid_errors = (SeedCollisionError, SingleMachineGridError, UnknownAlgorithmError)
     cache = (
         BracketCache(args.cache_dir) if args.cache or args.cache_dir else None
     )
@@ -477,7 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 spec,
                 ExecutionPolicy(cache=cache, backend=args.backend),
             )
-        except (SeedCollisionError, SingleMachineGridError) as exc:
+        except grid_errors as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except KeyboardInterrupt:
@@ -515,7 +518,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = execute_sweep(spec, policy)
     except JournalMismatchError:
         raise
-    except (JournalError, SeedCollisionError, SingleMachineGridError) as exc:
+    except (JournalError, *grid_errors) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepInterrupted as interrupted:

@@ -34,8 +34,6 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.params import ThresholdParameters, clamp_epsilon, threshold_parameters
 from repro.engine.policy import Decision, OnlinePolicy
 from repro.model.job import Job
@@ -106,16 +104,25 @@ class ThresholdPolicy(OnlinePolicy):
     def threshold_at(self, t: float, loads: Sequence[float]) -> float:
         """The system threshold :math:`d_{lim}` for the given loads at *t*.
 
+        Ranks the loads in decreasing order, multiplies ranks ``k..m`` by
+        ``f_h * factor_scale`` (read from the current :attr:`params`), and
+        adds the largest product to *t*: Eqs. (9)-(10) as a sort, one
+        product per rank, a ``max`` and an add on Python floats, the same
+        IEEE operations the batch kernel runs on arrays.  *loads* must
+        hold one load per machine (``ValueError`` otherwise).
+
         Exposed separately so tests and the Fig. 2 reproduction can inspect
         the acceptance frontier without running a full simulation.
         """
-        assert self.params is not None, "reset() must run before decisions"
-        k = self.params.k
-        sorted_loads = np.sort(np.asarray(loads, dtype=float))[::-1]
+        params = self.params
+        assert params is not None, "reset() must run before decisions"
+        scale = self.factor_scale
         # Ranks k..m (1-based) are the m-k+1 *least* loaded machines.
-        tail = sorted_loads[k - 1 :]
-        factors = self.params.f * self.factor_scale
-        return float(t + np.max(tail * factors))
+        tail = sorted(loads, reverse=True)[params.k - 1 :]
+        return float(t + max([
+            load * (f * scale)
+            for load, f in zip(tail, params.f.tolist(), strict=True)
+        ]))
 
     def on_submission(
         self, job: Job, t: float, machines: Sequence[MachineState]

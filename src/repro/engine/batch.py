@@ -23,8 +23,9 @@ Key correspondences with the scalar path:
 * outstanding load: ``snap((ends[j] - max(starts[j], t)) + (prefix[n] -
   prefix[j+1]))`` with ``j = bisect_right(ends, t)`` — replicated with the
   same operand order via :func:`repro.utils.tolerances.vsnap`;
-* threshold: ``d_lim = t + max(sorted_desc_loads[k-1:] * f)`` using the
-  same ``np.sort``/``np.max`` calls as ``ThresholdPolicy.threshold_at``;
+* threshold: ``d_lim = t + max(sorted_desc_loads[k-1:] * f)``, the same
+  IEEE operations (descending ranks, one multiply per rank, a max and an
+  add) that ``ThresholdPolicy.threshold_at`` runs on Python floats;
 * tie-breaking: Python's ``max(..., key=(load, -index))`` picks the first
   maximal element, which is exactly ``np.argmax``'s first-occurrence rule
   (and ``min``/``np.argmin`` for worst-fit / least-loaded);

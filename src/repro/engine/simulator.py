@@ -56,8 +56,12 @@ class ImmediateCommitmentModel(CommitmentModel):
     One kernel step per submission: the decision is final the moment it is
     returned, and accepted jobs are committed onto the authoritative
     :class:`~repro.model.machine.MachineState` timelines instantly (the
-    ``O(m log n)`` fast path — per decision, one ``outstanding`` query per
-    machine plus one bisection commit).
+    ``O(m log n)`` fast path — per decision, one ``outstanding``
+    computation per machine, which the trace, the policy and a live
+    session's reply share, plus one bisection commit).  A job whose id
+    already equals its submission index is kept as it is, so an
+    :class:`~repro.model.instance.Instance`'s jobs and a live offer's job
+    are never copied.
     """
 
     model = "immediate"
@@ -92,9 +96,10 @@ class ImmediateCommitmentModel(CommitmentModel):
         if raw is None:
             return False
         emitted = self.emitted
-        if len(emitted) >= self.max_jobs:
+        seq = len(emitted)
+        if seq >= self.max_jobs:
             ctx.fail(f"source exceeded max_jobs={self.max_jobs}")
-        job = raw.with_id(len(emitted))
+        job = raw if raw.job_id == seq else raw.with_id(seq)
         t = job.release
         if t < self.now - TIME_EPS:
             ctx.fail(

@@ -17,18 +17,25 @@ exposes the quantities Algorithm 1 of the paper operates on:
 Performance
 -----------
 
-Simulations query ``outstanding`` once per machine per submission, so a
-naive scan makes long runs quadratic (profiled at 3.5k jobs/s for an
+Simulations query ``outstanding`` on every machine at every submission, so
+a naive scan makes long runs quadratic (profiled at 3.5k jobs/s for an
 8000-job stream).  The committed intervals are disjoint, hence sorted by
 start *and* by end simultaneously; the class therefore keeps parallel
 ``starts`` / ``ends`` arrays plus a running prefix sum of processing
 times, giving ``O(log n)`` ``outstanding``/``busy_at`` via :mod:`bisect`
 and an O(1) overlap check on commit (only the two neighbours of the
 insertion point can conflict).
+
+One decision asks for the same loads several times (the engine's trace,
+the policy's threshold and its best-fit key, a live session's reply), so
+``outstanding`` remembers its last ``(t, load)`` and ``commit`` forgets
+it: each machine computes its load once per decision, and every caller
+gets that same float.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
@@ -64,7 +71,9 @@ class MachineState:
     overlapping commitments.
     """
 
-    __slots__ = ("index", "_commitments", "_starts", "_ends", "_prefix")
+    __slots__ = (
+        "index", "_commitments", "_starts", "_ends", "_prefix", "_memo_t", "_memo_load"
+    )
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -73,6 +82,9 @@ class MachineState:
         self._ends: list[float] = []
         #: prefix[i] = total processing time of the first i commitments.
         self._prefix: list[float] = [0.0]
+        #: The last ``outstanding`` query and its answer (NaN: none yet).
+        self._memo_t = math.nan
+        self._memo_load = 0.0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -115,6 +127,7 @@ class MachineState:
             del self._prefix[pos + 1 :]
             for i, c in enumerate(self._commitments[pos:], start=pos):
                 self._prefix.append(self._prefix[i] + c.job.processing)
+        self._memo_t = math.nan
         return new
 
     # ------------------------------------------------------------------
@@ -141,17 +154,24 @@ class MachineState:
         Sum over commitments of the part of the execution interval at or
         after *t*.  This is the quantity Algorithm 1 multiplies by
         :math:`f_h` to obtain the machine-dependent deadline threshold.
-        ``O(log n)`` via bisection on the (sorted) completion times.
+        ``O(log n)`` via bisection on the (sorted) completion times; a
+        repeated query at the same *t* with no commit in between returns
+        the remembered answer.
         """
+        if t == self._memo_t:
+            return self._memo_load
         n = len(self._commitments)
         if n == 0:
             return 0.0
         j = bisect_right(self._ends, t)
-        if j >= n:
-            return 0.0
-        partial = self._ends[j] - max(self._starts[j], t)
-        rest = self._prefix[n] - self._prefix[j + 1]
-        return snap(partial + rest)
+        load = 0.0
+        if j < n:
+            partial = self._ends[j] - max(self._starts[j], t)
+            rest = self._prefix[n] - self._prefix[j + 1]
+            load = snap(partial + rest)
+        self._memo_t = t
+        self._memo_load = load
+        return load
 
     def completion_frontier(self, t: float) -> float:
         """First time ``>= t`` with no further committed work after it.
@@ -219,6 +239,8 @@ class MachineState:
         copy._starts = list(self._starts)
         copy._ends = list(self._ends)
         copy._prefix = list(self._prefix)
+        copy._memo_t = self._memo_t
+        copy._memo_load = self._memo_load
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -74,13 +74,15 @@ def decode_line(raw: bytes | str) -> dict[str, Any]:
 
 
 def job_from_message(
-    payload: Any, *, clock: float, epsilon: float
+    payload: Any, *, clock: float, epsilon: float, job_id: int = -1
 ) -> Job:
     """Normalise an ``offer`` job payload into a :class:`Job`.
 
     Absolute jobs pass through unchanged; relative jobs (``processing``
     plus optional ``slack``, default the service's ``epsilon``) are
-    released at ``clock`` with the tight deadline.  Validation errors
+    released at ``clock`` with the tight deadline.  ``job_id`` is the id
+    the job gets; the server passes the offer's sequence number, so the
+    session decides and keeps this very object.  Validation errors
     surface as :class:`ProtocolError` so the server can reply instead of
     dying.
     """
@@ -103,6 +105,7 @@ def job_from_message(
             release,
             processing,
             deadline,
+            job_id,
             weight=None if weight is None else float(weight),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -251,21 +251,20 @@ class AdmissionServer:
         assert session is not None, "server not started"
         if self.failure is not None:
             return error_message(f"not deciding: {self.failure}", tag)
+        seq = session.job_count
         try:
             job = job_from_message(
-                payload, clock=session.now, epsilon=session.epsilon
+                payload, clock=session.now, epsilon=session.epsilon, job_id=seq
             )
         except ProtocolError as exc:
             return error_message(str(exc), tag)
-        seq = session.job_count
         try:
             decision = session.offer(job)
         except SimulationError as exc:
             return error_message(str(exc), tag)
-        stamped = session.job(seq)
         if self.journal is not None:
-            self.journal.record_decision(seq, stamped, decision)
-        message = decision_message(seq, stamped, decision, session.loads(), tag)
+            self.journal.record_decision(seq, job, decision)
+        message = decision_message(seq, job, decision, session.loads(), tag)
         if self._watchers:
             event = dict(message)
             event.pop("tag", None)

@@ -32,17 +32,17 @@ Record shapes::
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterator, Sequence
 
 from repro.engine.controller import (
     AdmissionController,
     decision_to_payload,
     job_from_payload,
-    job_to_payload,
     open_session,
 )
 from repro.model.instance import Instance
@@ -88,21 +88,50 @@ def _crc32_hex(blob: str) -> str:
     return format(zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
-def _decision_line(seq: int, job: list[Any], dec: list[Any]) -> str:
+_FLOAT_REPR = float.__repr__
+_INT_REPR = int.__repr__
+_isfinite = math.isfinite
+
+
+def _json_items(values: Sequence[Any]) -> list[str]:
+    """Each of *values* as ``json`` writes it in a list.
+
+    ``float.__repr__`` for any finite float (a NumPy scalar included, whose
+    ``repr`` would not do), ``int.__repr__``, ``true``/``false``/``null``.
+    Anything else goes through the encoder, which raises what ``json``
+    raises: ``ValueError`` for a non-finite float, ``TypeError`` for a
+    type it cannot encode.
+    """
+    items = []
+    for value in values:
+        if isinstance(value, float) and _isfinite(value):
+            items.append(_FLOAT_REPR(value))
+        elif value is None:
+            items.append("null")
+        elif value is True:
+            items.append("true")
+        elif value is False:
+            items.append("false")
+        elif isinstance(value, int):
+            items.append(_INT_REPR(value))
+        else:
+            items.append(_JSON.encode(value))
+    return items
+
+
+def _decision_line(seq: int, job: Sequence[Any], dec: Sequence[Any]) -> str:
     """The log line of one decision record, newline included.
 
     The bytes ``json.dumps`` writes for the record ``{"kind": "decision",
-    "seq", "job", "dec", "crc"}``, with each payload encoded once and
-    spliced into both the line and its CRC blob.  The payloads hold only
-    numbers, booleans and nulls, so dropping the space after each comma
-    gives the blob's compact form.
+    "seq", "job": list(job), "dec": list(dec), "crc"}``.  Each number is
+    formatted once and spliced into both the line and its CRC blob.
     """
     seq = int(seq)
-    job_json, dec_json = _JSON.encode(job), _JSON.encode(dec)
-    compact = f"[{seq},{job_json.replace(', ', ',')},{dec_json.replace(', ', ',')}]"
+    job_items, dec_items = _json_items(job), _json_items(dec)
+    compact = f"[{seq},[{','.join(job_items)}],[{','.join(dec_items)}]]"
     return (
-        f'{{"kind": "decision", "seq": {seq}, "job": {job_json}, '
-        f'"dec": {dec_json}, "crc": "{_crc32_hex(compact)}"}}\n'
+        f'{{"kind": "decision", "seq": {seq}, "job": [{", ".join(job_items)}], '
+        f'"dec": [{", ".join(dec_items)}], "crc": "{_crc32_hex(compact)}"}}\n'
     )
 
 
@@ -328,12 +357,18 @@ class DecisionJournal:
     def record_decision(self, seq: int, job: Job, decision: Any) -> None:
         """Append one served decision.
 
+        The line is built straight from *job* and *decision*, each number
+        formatted once, byte for byte what ``json.dumps`` writes for the
+        record of :func:`~repro.engine.controller.job_to_payload` and
+        :func:`~repro.engine.controller.decision_to_payload`.
         Outside :meth:`group` the record is written, flushed and fsync'd
         before this returns.  Inside it the record is staged, and it is
         durable once the group has committed.
         """
         line = _decision_line(
-            seq, job_to_payload(job), decision_to_payload(decision)
+            seq,
+            (job.release, job.processing, job.deadline, job.weight),
+            (bool(decision.accepted), decision.machine, decision.start),
         )
         if self._staged is None:
             self._commit([line])

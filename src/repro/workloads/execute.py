@@ -302,7 +302,9 @@ def execute_sweep(
 
     Raises :class:`~repro.workloads.resilient.SeedCollisionError`, before
     any path starts, when two cells of the whole grid (every shard's)
-    share a seed, and
+    share a seed,
+    :class:`~repro.workloads.resilient.UnknownAlgorithmError` when it
+    names an algorithm the registry does not know, and
     :class:`~repro.workloads.resilient.SingleMachineGridError` when it
     pairs a single-machine-only algorithm with more machines.  Raises
     :class:`~repro.workloads.resilient.SweepExecutionError` when

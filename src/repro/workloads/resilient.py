@@ -80,6 +80,14 @@ class SingleMachineGridError(ValueError):
     """
 
 
+class UnknownAlgorithmError(ValueError):
+    """A sweep grid names an algorithm the registry does not know.
+
+    Every cell of that algorithm would fail the same way, so the grid is
+    refused on every execution path before any cell runs.
+    """
+
+
 @dataclass(frozen=True)
 class CellFailure:
     """One quarantined cell: where it died and how, attempt by attempt."""
@@ -503,12 +511,18 @@ def check_seed_collisions(spec: SweepSpec) -> None:
 
 
 def check_machine_counts(spec: SweepSpec) -> None:
-    """Raise :class:`SingleMachineGridError` if *spec* runs a
-    single-machine-only algorithm on more than one machine."""
+    """Raise :class:`UnknownAlgorithmError` if *spec* names an algorithm
+    the registry does not know, and :class:`SingleMachineGridError` if it
+    runs a single-machine-only algorithm on more than one machine."""
     wide = [m for m in spec.machine_counts if m != 1]
     for name in spec.algorithms:
         algorithm = ALGORITHMS.get(name)
-        if wide and algorithm is not None and algorithm.single_machine_only:
+        if algorithm is None:
+            raise UnknownAlgorithmError(
+                f"unknown algorithm {name!r} in the sweep grid; known: "
+                f"{', '.join(sorted(ALGORITHMS))}"
+            )
+        if wide and algorithm.single_machine_only:
             raise SingleMachineGridError(
                 f"{name} only runs on single-machine instances, but the sweep "
                 f"grid also gives it machine count(s) {', '.join(map(str, wide))}"
@@ -580,6 +594,7 @@ __all__ = [
     "SingleMachineGridError",
     "SweepExecutionError",
     "SweepInterrupted",
+    "UnknownAlgorithmError",
     "WorkerFailure",
     "check_machine_counts",
     "check_seed_collisions",

@@ -242,6 +242,25 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "extra", [[], ["--journal", "sweep.jsonl"]], ids=["serial", "journaled"]
+    )
+    def test_sweep_unknown_algorithm_is_a_clean_error(self, tmp_path, capsys, extra):
+        from repro.cli import main
+
+        extra = [tmp_path / arg if arg.endswith(".jsonl") else arg for arg in extra]
+        code = main(
+            ["sweep", "--epsilons", "0.5", "--machines", "1",
+             "--algorithms", "nosuch", "--n", "4", "--repetitions", "1",
+             "--no-cache", *map(str, extra)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: unknown algorithm 'nosuch' in the sweep grid")
+        assert "threshold" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_cloud_workload(self, capsys):
         from repro.cli import main
 

@@ -1,8 +1,11 @@
 """Unit tests for Algorithm 1 (ThresholdPolicy)."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.params import threshold_parameters
+from repro.core.params import clamp_epsilon, threshold_parameters
 from repro.core.threshold import AllocationRule, ThresholdPolicy
 from repro.engine.simulator import simulate
 from repro.model.instance import Instance
@@ -174,3 +177,76 @@ class TestConfiguration:
         policy.reset(2, 0.2)
         d_lim = policy.threshold_at(1.0, [1.0, 1.0])
         assert d_lim == pytest.approx(1.0 + 6.0)  # f_2 = (1+.2)/.2 = 6
+
+
+def _numpy_threshold_at(params, factor_scale, t, loads):
+    """The NumPy expression ``threshold_at`` evaluated before it moved to
+    Python floats: the oracle its IEEE results must match bit for bit."""
+    sorted_loads = np.sort(np.asarray(loads, dtype=float))[::-1]
+    tail = sorted_loads[params.k - 1 :]
+    factors = params.f * factor_scale
+    return float(t + np.max(tail * factors))
+
+
+_epsilons = st.floats(min_value=1e-6, max_value=1.0)
+_scales = st.just(1.0) | st.floats(min_value=0.05, max_value=20.0)
+
+
+@st.composite
+def _loads(draw, m):
+    """m loads drawn from a few values, so ties and zeros are common."""
+    pool = draw(
+        st.lists(st.just(0.0) | st.floats(0.0, 1e6), min_size=1, max_size=m)
+    )
+    loads = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    return np.array(loads) if draw(st.booleans()) else loads
+
+
+class TestThresholdAtOracle:
+    @given(
+        data=st.data(),
+        m=st.integers(1, 8),
+        eps=_epsilons,
+        scale=_scales,
+        t=st.floats(0.0, 1e6),
+        explicit=st.booleans(),
+    )
+    def test_matches_the_numpy_expression_bit_for_bit(
+        self, data, m, eps, scale, t, explicit
+    ):
+        params = threshold_parameters(clamp_epsilon(eps), m)
+        policy = ThresholdPolicy(
+            parameters=params if explicit else None, factor_scale=scale
+        )
+        policy.reset(m, eps)
+        for _ in range(3):
+            loads = data.draw(_loads(m))
+            expected = _numpy_threshold_at(policy.params, scale, t, loads)
+            got = policy.threshold_at(t, loads)
+            assert type(got) is float
+            assert got.hex() == expected.hex()
+
+    @given(
+        data=st.data(),
+        m=st.integers(1, 8),
+        epsilons=st.lists(_epsilons, min_size=2, max_size=4),
+        scale=_scales,
+        t=st.floats(0.0, 1e6),
+    )
+    def test_follows_params_assigned_or_swapped_between_calls(
+        self, data, m, epsilons, scale, t
+    ):
+        policy = ThresholdPolicy(factor_scale=scale)  # never reset
+        for eps in epsilons:
+            policy.params = threshold_parameters(clamp_epsilon(eps), m)
+            loads = data.draw(_loads(m))
+            expected = _numpy_threshold_at(policy.params, scale, t, loads)
+            assert policy.threshold_at(t, loads).hex() == expected.hex()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_wrong_number_of_loads_raises(self, m):
+        policy = ThresholdPolicy()
+        policy.reset(m, 0.3)
+        for count in (m - 1, m + 1):
+            with pytest.raises(ValueError):
+                policy.threshold_at(1.0, [1.0] * count)

@@ -66,6 +66,13 @@ class TestBasicRuns:
         s = simulate(AcceptAll(), inst)
         assert s.instance is inst
 
+    def test_simulate_keeps_the_instance_job_objects(self):
+        inst = _inst([Job(0, 1, 10), Job(0, 2, 10), Job(1, 1, 10)])
+        s = simulate(AcceptAll(), inst)
+        assert all(
+            record.job is job for record, job in zip(s.meta["trace"], inst.jobs)
+        )
+
     def test_simulate_many(self):
         insts = [_inst([Job(0, 1, 10)]), _inst([Job(0, 2, 10)])]
         scheds = simulate_many(AcceptAll(), insts)

@@ -1,6 +1,8 @@
 """Unit tests for non-preemptive machine state."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.model.job import Job
 from repro.model.machine import MachineState
@@ -64,6 +66,78 @@ class TestOutstanding:
         ms.commit(Job(0.0, 1.0, 20.0, job_id=1), start=0.0)
         ms.commit(Job(0.0, 2.0, 20.0, job_id=2), start=5.0)
         assert ms.outstanding(0.5) == pytest.approx(0.5 + 2.0)
+
+
+def _recomputed(ms, t):
+    """``ms.outstanding(t)`` on a fresh copy that was never queried.
+
+    Committing the same commitments in start order gives the same arrays
+    and prefix sums, so this is the load computed without the memo.
+    """
+    fresh = MachineState(ms.index)
+    for c in ms.commitments:
+        fresh.commit(c.job, c.start)
+    return fresh.outstanding(t)
+
+
+#: Query times: a few fixed ones (so queries repeat) and arbitrary ones.
+_times = st.sampled_from([0.0, 1.0, 2.5, 7.0, 12.25, 40.0]) | st.floats(0.0, 60.0)
+_commits = st.tuples(
+    st.just("commit"), st.floats(0.0, 50.0), st.floats(0.01, 6.0)
+)
+_queries = st.tuples(st.just("query"), _times)
+
+
+class TestOutstandingMemo:
+    @given(st.lists(_commits | _queries, max_size=40))
+    def test_interleaved_commits_and_queries_match_a_recomputation(self, ops):
+        ms = MachineState(0)
+        for op in ops:
+            if op[0] == "commit":
+                _, start, processing = op
+                try:  # overlapping starts are refused and change nothing
+                    ms.commit(Job(0.0, processing, 1e3), start)
+                except ValueError:
+                    pass
+            else:
+                t = op[1]
+                assert ms.outstanding(t).hex() == _recomputed(ms, t).hex()
+
+    def test_an_insert_before_the_last_commitment_updates_a_repeated_query(self):
+        ms = MachineState(0)
+        ms.commit(Job(0.0, 2.0, 100.0), 10.0)
+        assert ms.outstanding(1.0) == 2.0
+        ms.commit(Job(0.0, 3.0, 100.0), 4.0)  # lands before the last one
+        assert ms.outstanding(1.0) == 5.0
+        assert ms.outstanding(5.0) == 4.0
+        ms.commit(Job(0.0, 0.5, 100.0), 1.0)
+        assert ms.outstanding(5.0) == 4.0  # [1, 1.5) ended before t=5
+        assert ms.outstanding(1.0) == 5.5
+
+    @given(
+        st.lists(_commits, max_size=8),
+        st.lists(_commits, max_size=8),
+        st.lists(_commits, max_size=8),
+        st.lists(_times, min_size=1, max_size=6),
+    )
+    def test_clones_stay_independent(self, shared, left, right, times):
+        def commit_all(ms, commits):
+            for _, start, processing in commits:
+                try:
+                    ms.commit(Job(0.0, processing, 1e3), start)
+                except ValueError:
+                    pass
+
+        original = MachineState(3)
+        commit_all(original, shared)
+        for t in times:
+            original.outstanding(t)  # warm the memo before cloning
+        copy = original.clone()
+        commit_all(original, left)
+        commit_all(copy, right)
+        for t in times:
+            for ms in (original, copy):
+                assert ms.outstanding(t).hex() == _recomputed(ms, t).hex()
 
 
 class TestFrontierAndFits:

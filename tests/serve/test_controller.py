@@ -22,6 +22,7 @@ from repro.engine.controller import (
 from repro.engine.kernel import SimulationError
 from repro.engine.simulator import simulate
 from repro.model.job import Job
+from repro.serve.protocol import job_from_message
 from repro.workloads.arrivals import mmpp_instance
 from repro.workloads.random_instances import random_instance
 
@@ -90,6 +91,17 @@ class TestBitIdentityWithSimulate:
             session.offer(job)
             assert session.job_count == i + 1
             assert session.job(i) == session.jobs[i] and session.job(i).job_id == i
+
+    def test_a_job_is_kept_when_its_id_is_its_seq_and_relabelled_otherwise(self):
+        session = open_session("threshold", machines=2, epsilon=0.5)
+        mine = job_from_message(
+            {"processing": 1.0}, clock=0.0, epsilon=0.5, job_id=session.job_count
+        )
+        session.offer(mine)
+        assert session.job(0) is mine
+        other = Job(0.0, 1.0, 5.0, job_id=7)
+        session.offer(other)
+        assert session.job(1) == other.with_id(1)
 
 
 class TestSessionContract:

@@ -346,6 +346,61 @@ class TestOfferHotPath:
         ok, detail = verify_decision_log(log)
         assert ok, detail
 
+    def test_one_job_and_one_load_per_machine_per_offer(self, tmp_path, monkeypatch):
+        """The job ``job_from_message`` builds is the one the session
+        keeps, and the step, the policy and the reply share one
+        ``outstanding`` computation per machine (plus one for the machine
+        an acceptance commits to)."""
+        from repro.model import machine
+        from repro.model.job import Job
+        from repro.serve import server as server_module
+
+        built, counts = [], {"jobs": 0, "loads": 0}
+        real_job_from_message = server_module.job_from_message
+        real_post_init = Job.__post_init__
+        real_bisect_right = machine.bisect_right
+
+        def job_from_message(*args, **kwargs):
+            built.append(real_job_from_message(*args, **kwargs))
+            return built[-1]
+
+        def post_init(job):
+            counts["jobs"] += 1
+            real_post_init(job)
+
+        def bisect_right(*args):
+            counts["loads"] += 1
+            return real_bisect_right(*args)
+
+        n, m = 300, 4
+        stream = [
+            {"release": job.release, "processing": job.processing,
+             "deadline": job.deadline}
+            for job in mmpp_instance(n, machines=m, epsilon=0.5, seed=3)
+        ]
+        monkeypatch.setattr(server_module, "job_from_message", job_from_message)
+        monkeypatch.setattr(Job, "__post_init__", post_init)
+        monkeypatch.setattr(machine, "bisect_right", bisect_right)
+
+        async def main():
+            server = AdmissionServer(ServeConfig(
+                machines=m, epsilon=0.5, decision_log=str(tmp_path / "log.jsonl")
+            ))
+            await server.start()
+            try:
+                replies = [server.offer_payload(job) for job in stream]
+                return replies, server.session
+            finally:
+                server.request_shutdown()
+                await server.serve_until_shutdown()
+
+        replies, session = asyncio.run(main())
+        accepted = sum(r["accepted"] for r in replies)
+        assert 0 < accepted < n
+        assert counts["jobs"] == n
+        assert all(session.job(seq) is job for seq, job in enumerate(built))
+        assert counts["loads"] <= m * n + accepted
+
 
 def _offer_lines(jobs):
     return [

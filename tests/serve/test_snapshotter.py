@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.controller import open_session
@@ -96,6 +99,56 @@ class TestRecordBytes:
     def test_non_finite_payloads_are_refused(self):
         with pytest.raises(ValueError):
             _decision_line(0, [0.0, float("nan"), 1.0, None], [False, None, None])
+
+    @given(
+        seq=st.integers(0, 10**12),
+        job=st.tuples(_finite, _finite, _finite, st.none() | _finite),
+        dec=st.tuples(
+            st.booleans(), st.none() | st.integers(0, 4096), st.none() | _finite
+        ),
+        as_numpy=st.booleans(),
+    )
+    @settings(deadline=None)  # each example creates and fsyncs a log
+    def test_record_decision_writes_json_dumps_of_the_record(
+        self, seq, job, dec, as_numpy
+    ):
+        if as_numpy:  # float subclasses whose repr() is not their JSON
+            job = tuple(None if v is None else np.float64(v) for v in job)
+            dec = (*dec[:2], None if dec[2] is None else np.float64(dec[2]))
+        release, processing, deadline, weight = job
+        record = {"kind": "decision", "seq": seq, "job": list(job),
+                  "dec": list(dec), "crc": decision_crc(seq, list(job), list(dec))}
+        expected = json.dumps(record, allow_nan=False) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.jsonl")
+            journal = DecisionJournal.create(
+                path, service_fingerprint("threshold", 2, 0.4)
+            )
+            journal.record_decision(
+                seq,
+                SimpleNamespace(release=release, processing=processing,
+                                deadline=deadline, weight=weight),
+                SimpleNamespace(accepted=dec[0], machine=dec[1], start=dec[2]),
+            )
+            journal.close()
+            with open(path, encoding="utf-8") as fh:
+                assert fh.readlines()[-1] == expected
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+    def test_record_decision_refuses_non_finite_numbers(self, tmp_path, bad):
+        path = tmp_path / "log.jsonl"
+        journal = DecisionJournal.create(path, service_fingerprint("threshold", 2, 0.4))
+        header = path.read_bytes()
+        job = SimpleNamespace(release=0.0, processing=bad, deadline=3.0, weight=None)
+        accepted = SimpleNamespace(accepted=True, machine=0, start=0.0)
+        with pytest.raises(ValueError):
+            journal.record_decision(0, job, accepted)
+        job = SimpleNamespace(release=0.0, processing=1.0, deadline=3.0, weight=None)
+        with pytest.raises(ValueError):
+            journal.record_decision(0, job, SimpleNamespace(
+                accepted=True, machine=0, start=np.float64(bad)))
+        journal.close()
+        assert path.read_bytes() == header
 
 
 class TestFailStop:

@@ -17,6 +17,7 @@ from repro.workloads.resilient import (
     SeedCollisionError,
     SingleMachineGridError,
     SweepExecutionError,
+    UnknownAlgorithmError,
 )
 from repro.workloads.sweep import SweepSpec
 
@@ -183,3 +184,20 @@ class TestSingleMachineAlgorithms:
     def test_a_single_machine_grid_runs(self):
         spec = _spec(algorithms=["greedy", "goldwasser-kerbikov"])
         assert execute_sweep(spec).manifest.cells_completed == 4
+
+
+class TestUnknownAlgorithms:
+    @pytest.mark.parametrize(
+        "policy", [{}, {"journal": "sweep.jsonl"}], ids=["serial", "journaled"]
+    )
+    def test_every_path_refuses_an_unknown_name_before_running(self, tmp_path, policy):
+        if "journal" in policy:
+            policy = {**policy, "journal": tmp_path / policy["journal"]}
+        spec = _spec(algorithms=["greedy", "nosuch"])
+        with pytest.raises(
+            UnknownAlgorithmError,
+            match=r"unknown algorithm 'nosuch' in the sweep grid; known: .*greedy.*threshold",
+        ) as refused:
+            execute_sweep(spec, ExecutionPolicy(**policy))
+        assert isinstance(refused.value, ValueError)
+        assert list(tmp_path.iterdir()) == []
