@@ -19,13 +19,13 @@ repository root — the artefact the throughput regression guard compares
 against.
 
 E25 extends the snapshot with the **batch backend**
-(:mod:`repro.engine.backend`): the same workloads through the
-structure-of-arrays NumPy kernels, amortised over a 64-instance batch for
-the immediate model (the batch kernel's unit of work) and per-instance for
-the delayed and admission models (those kernels win within an instance).
-The penalties model has no batch row: its scalar engine scans only the
-plans that have not started.  The snapshot stamps the python/numpy
-versions and per-backend speedups so regressions are attributable.
+(:mod:`repro.engine.backend`): the immediate-model workloads through the
+structure-of-arrays NumPy kernels, amortised over a 64-instance batch (the
+batch kernel's unit of work).  The delayed, admission and penalties models
+have no batch row: their scalar engines are the fast path (one flat loop
+each for delayed and admission; penalties scans only the plans that have
+not started).  The snapshot stamps the python/numpy versions and
+per-backend speedups so regressions are attributable.
 """
 
 import json
@@ -164,9 +164,7 @@ BATCH_SIZE = 64
 def _batch_runs():
     """(label, total_jobs, thunk) per batch-backend row (E25).
 
-    Immediate-model rows amortise over a 64-lane batch (that kernel's
-    unit of work); the delayed/admission kernels win *within* one
-    instance, so their rows run per-instance like the scalar ones.
+    Every row amortises over a 64-lane batch, the kernel's unit of work.
     """
     from repro.engine.batch import (
         IMMEDIATE_RULES,
@@ -174,7 +172,6 @@ def _batch_runs():
         run_immediate_batch,
         run_random_admission_batch,
     )
-    from repro.engine.batch_delayed import run_admission_batch, run_delayed_batch
 
     batch = [
         random_instance(N_JOBS, MACHINES, 0.2, seed=42 + i) for i in range(BATCH_SIZE)
@@ -182,7 +179,6 @@ def _batch_runs():
     batch_1 = [
         random_instance(N_JOBS, 1, 0.2, seed=42 + i) for i in range(BATCH_SIZE)
     ]
-    eps = _INSTANCE.epsilon
     return [
         (
             "immediate[threshold]",
@@ -215,21 +211,6 @@ def _batch_runs():
             "immediate[classify-select]",
             BATCH_SIZE * N_JOBS,
             lambda: run_classify_select_batch(batch_1),
-        ),
-        (
-            "delayed[delayed-greedy]",
-            N_JOBS,
-            lambda: run_delayed_batch([_INSTANCE], delta=eps / 2),
-        ),
-        (
-            "admission[admission-greedy]",
-            N_JOBS,
-            lambda: run_admission_batch([_INSTANCE], algorithm="admission-greedy"),
-        ),
-        (
-            "admission[admission-lazy]",
-            N_JOBS,
-            lambda: run_admission_batch([_INSTANCE], algorithm="admission-lazy"),
         ),
     ]
 

@@ -32,7 +32,11 @@ import numpy as np
 def _cmd_bound(args: argparse.Namespace) -> int:
     from repro.core.params import corner_values, threshold_parameters
 
-    params = threshold_parameters(args.eps, args.m)
+    try:
+        params = threshold_parameters(args.eps, args.m)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"c(eps={args.eps}, m={args.m}) = {params.c:.6f}")
     corners = [round(float(c), 6) for c in corner_values(args.m)]
     print(f"phase k = {params.k} (corners: {corners})")
@@ -87,10 +91,15 @@ def _cmd_duel(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    try:
+        bound = c_bound(args.eps, args.m)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = duel(make_algorithm(args.algorithm), m=args.m, epsilon=args.eps)
     print(f"algorithm      : {result.policy_name}")
     print(f"forced ratio   : {result.forced_ratio:.6f}")
-    print(f"c(eps, m)      : {c_bound(args.eps, args.m):.6f}")
+    print(f"c(eps, m)      : {bound:.6f}")
     print(f"algorithm load : {result.algorithm_load:.6f}")
     print(f"adversary OPT  : {result.constructive_opt:.6f}")
     print(f"game           : u={result.summary['u']}, h={result.summary['final_h']}")

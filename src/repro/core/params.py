@@ -95,7 +95,7 @@ def clamp_epsilon(epsilon: float) -> float:
     every guarantee (footnote 2 of the paper notes constant-competitive
     greedy alternatives for ``epsilon > 1``).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # refuses NaN too
         raise ValueError(f"slack must be positive, got {epsilon}")
     return min(epsilon, EPSILON_MAX)
 
@@ -393,6 +393,8 @@ class BoundFunction:
         m = self.m
         k = self.phase(epsilon)
         target = (1.0 + epsilon) / epsilon
+        if target == math.inf:
+            raise ValueError(f"slack {epsilon!r} is too small: (1+eps)/eps overflows")
 
         def residual(c: float) -> float:
             return forward_f_chain(c, m, k)[-1] - target
@@ -407,11 +409,20 @@ class BoundFunction:
                 # right corner where c_lo is already exact.
                 c_star = c_lo
             else:
+                # Double c_hi until it brackets the root.  For slacks near
+                # 1/DBL_MAX the chain overflows first: refuse the slack
+                # rather than let NumPy warn and solve on infinities.
                 c_hi = max(2.0 * c_lo, 4.0)
-                while residual(c_hi) < 0.0:
-                    c_hi *= 2.0
-                    if c_hi > 1e18:  # pragma: no cover - defensive
-                        raise RuntimeError("bracketing for c diverged")
+                try:
+                    with np.errstate(over="raise"):
+                        while residual(c_hi) < 0.0:
+                            c_hi *= 2.0
+                            if c_hi == math.inf:
+                                raise FloatingPointError
+                except FloatingPointError:
+                    raise ValueError(
+                        f"slack {epsilon!r} is too small: c(eps, {m}) overflows"
+                    ) from None
                 c_star = _brentq(residual, c_lo, c_hi, xtol=_C_XTOL, rtol=1e-15)
         f = forward_f_chain(c_star, m, k)
         return ThresholdParameters(m=m, epsilon=epsilon, k=k, c=c_star, f=f)

@@ -13,6 +13,10 @@ Each commitment model of the paper's §1 taxonomy plugs into it as a thin
 * :mod:`repro.engine.preemptive` — preemptive immediate notification
   (substrate of the Section 1.2 baselines).
 
+The delayed and admission models are one flat loop each, which runs
+their built-in policies (``DelayedGreedyPolicy``,
+``AdmissionGreedyPolicy``, ``AdmissionLazyPolicy``) directly.
+
 Every invalid policy decision, in every model, raises the unified
 :class:`~repro.engine.kernel.SimulationError`; every run surfaces
 ``meta["stats"]`` and, on request, ``meta["events"]``.
@@ -20,12 +24,12 @@ Every invalid policy decision, in every model, raises the unified
 Above the per-model simulators sits the **kernel-backend seam**
 (:mod:`repro.engine.backend`): :func:`~repro.engine.backend.run_simulations`
 dispatches :class:`~repro.engine.backend.SimulationRequest` batches either
-to the scalar golden path above or to the structure-of-arrays NumPy kernels
-(:mod:`repro.engine.batch`, :mod:`repro.engine.batch_delayed`), which are
+to the scalar golden path above or to the structure-of-arrays NumPy
+kernels of the immediate model (:mod:`repro.engine.batch`), which are
 bit-identical to it — see ``docs/engine_backends.md``;
 ``docs/kernel_authoring.md`` explains how to add a kernel that keeps these
-guarantees.  Commitment with penalties has no batch kernel: its scalar
-engine scans only the plans that have not started.
+guarantees.  The delayed, admission and penalties models have no batch
+kernel: their scalar engines are the fast path.
 
 For request-at-a-time use (the ``repro serve`` service), the kernel's
 event loop is also exposed incrementally: :func:`~repro.engine.controller.
@@ -66,16 +70,12 @@ from repro.engine.preemptive import (
 from repro.engine.audit import audit_run, CommitmentAuditError
 from repro.engine.delayed import (
     DelayedCommitmentModel,
-    DelayedPolicy,
     DelayedGreedyPolicy,
-    PendingJob,
     simulate_delayed,
 )
 from repro.engine.admission import (
     AdmissionCommitmentModel,
-    AdmissionPolicy,
     AdmissionGreedyPolicy,
-    AdmissionEddPolicy,
     AdmissionLazyPolicy,
     simulate_admission,
 )
@@ -93,11 +93,6 @@ from repro.engine.batch import (
     run_classify_select_batch,
     run_immediate_batch,
     run_random_admission_batch,
-)
-from repro.engine.batch_delayed import (
-    ADMISSION_ALGORITHMS,
-    run_admission_batch,
-    run_delayed_batch,
 )
 from repro.engine.backend import (
     BACKEND_CHOICES,
@@ -143,9 +138,7 @@ __all__ = [
     "audit_run",
     "CommitmentAuditError",
     "DelayedCommitmentModel",
-    "DelayedPolicy",
     "DelayedGreedyPolicy",
-    "PendingJob",
     "simulate_delayed",
     "DEFAULT_PHI",
     "PenaltiesCommitmentModel",
@@ -154,9 +147,7 @@ __all__ = [
     "PenaltyOutcome",
     "simulate_with_penalties",
     "AdmissionCommitmentModel",
-    "AdmissionPolicy",
     "AdmissionGreedyPolicy",
-    "AdmissionEddPolicy",
     "AdmissionLazyPolicy",
     "simulate_admission",
     "ImmediateRule",
@@ -164,9 +155,6 @@ __all__ = [
     "run_immediate_batch",
     "run_classify_select_batch",
     "run_random_admission_batch",
-    "ADMISSION_ALGORITHMS",
-    "run_admission_batch",
-    "run_delayed_batch",
     "BACKEND_CHOICES",
     "BACKENDS",
     "BackendFallbackWarning",

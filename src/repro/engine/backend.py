@@ -12,19 +12,17 @@ through :func:`run_simulations`, which dispatches to one of two
     the golden reference every other backend is measured against.
 
 ``batch``
-    Structure-of-arrays NumPy kernels (:mod:`repro.engine.batch` for the
+    Structure-of-arrays NumPy kernels (:mod:`repro.engine.batch`) for the
     immediate model — including the randomized ``random-admission`` and
-    ``classify-select`` via per-lane RNG-stream replay — and
-    :mod:`repro.engine.batch_delayed` for the delayed and
-    commitment-on-admission models) that step groups of compatible
-    requests through vectorised decision rules.  The contract is
-    *bit-identity*: schedules, ``RunStats`` counters and journal rows
-    match the scalar backend exactly (asserted by
+    ``classify-select`` via per-lane RNG-stream replay — that step groups
+    of compatible requests through vectorised decision rules.  The
+    contract is *bit-identity*: schedules, ``RunStats`` counters and
+    journal rows match the scalar backend exactly (asserted by
     ``tests/engine/test_backends.py``).
 
 ``auto``
-    Batch where it pays off, scalar everywhere else — see
-    :data:`_AUTO_MIN_GROUP` and ``docs/engine_backends.md``.
+    Batch for groups of at least :data:`_AUTO_MIN_GROUP` compatible
+    requests, scalar everywhere else — see ``docs/engine_backends.md``.
 
 Randomized algorithms carry their RNG seed inside the grouping key, so
 two requests with different seeds can never share a lane row (they would
@@ -34,9 +32,11 @@ objects are scalar-only because their mutable state cannot be replayed.
 Unsupported algorithm/backend combinations never fail silently: under
 ``backend="batch"`` they fall back to scalar with a
 :class:`BackendFallbackWarning`; under ``auto`` the fallback is the
-expected behaviour and stays quiet.  Commitment with penalties
-(``revocable-greedy``) is one of them: its scalar engine scans only the
-plans that have not started and outran the NumPy kernel it replaced.
+expected behaviour and stays quiet.  The delayed, commitment-on-admission
+and penalties models (``delayed-greedy``, ``admission-greedy``,
+``admission-lazy``, ``revocable-greedy``) are among them: the first two
+run as one flat loop each, the last scans only the plans that have not
+started, and each outran the batch kernel it replaced.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.engine.batch import DEFAULT_Q, DEFAULT_RANDOM_SEED, IMMEDIATE_RULES
-from repro.engine.batch_delayed import ADMISSION_ALGORITHMS, DEFAULT_SLACK_MARGIN
 from repro.model.instance import Instance
 from repro.utils.rng import DEFAULT_SEED
 
@@ -58,15 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Valid values for every ``backend=`` argument in this library.
 BACKEND_CHOICES = ("auto", "scalar", "batch")
 
-#: Minimum compatible group size for ``auto`` to batch immediate-model
-#: requests.  A single immediate run gains nothing from SoA layout (the
-#: arrays hold one row), while the delayed/admission kernels win *within*
-#: an instance and are worth batching even for a group of one.
+#: Minimum compatible group size for ``auto`` to batch.  The kernels
+#: vectorise *across* lanes, so a single run gains nothing from SoA layout
+#: (the arrays hold one row).
 _AUTO_MIN_GROUP = 2
-
-#: Group-key kinds whose kernels vectorise *across* lanes and therefore
-#: need at least :data:`_AUTO_MIN_GROUP` members under ``auto``.
-_LANE_KINDS = ("immediate", "immediate-random", "classify")
 
 
 def _seed_key(rng: Any) -> int | None:
@@ -152,10 +146,8 @@ class BatchBackend(KernelBackend):
         Immediate-model groups additionally share the (machines, jobs)
         shape so the SoA arrays stay rectangular, and randomized
         algorithms share the *seed* — mixed-seed requests must never share
-        a pre-drawn lane row.  Delayed/admission groups share only their
-        kwargs (those kernels loop per instance).  Event recording always
-        falls back — the batch kernels do not replay per-decision event
-        streams.
+        a pre-drawn lane row.  Event recording always falls back — the
+        batch kernels do not replay per-decision event streams.
         """
         if request.record_events:
             return None
@@ -213,21 +205,6 @@ class BatchBackend(KernelBackend):
                 seed,
                 len(request.instance),
             )
-        if request.algorithm == "delayed-greedy":
-            if set(kwargs) - {"delta"}:
-                return None
-            delta = kwargs.get("delta")
-            if delta is not None and not isinstance(delta, (int, float)):
-                return None
-            return ("delayed", None if delta is None else float(delta))
-        if request.algorithm in ADMISSION_ALGORITHMS:
-            allowed = {"slack_margin"} if request.algorithm == "admission-lazy" else set()
-            if set(kwargs) - allowed:
-                return None
-            margin = kwargs.get("slack_margin", DEFAULT_SLACK_MARGIN)
-            if not isinstance(margin, (int, float)):
-                return None
-            return ("admission", request.algorithm, float(margin))
         return None
 
     def supports(self, request: SimulationRequest) -> bool:
@@ -240,7 +217,6 @@ class BatchBackend(KernelBackend):
             run_immediate_batch,
             run_random_admission_batch,
         )
-        from repro.engine.batch_delayed import run_admission_batch, run_delayed_batch
 
         requests = list(requests)
         groups: dict[tuple, list[int]] = {}
@@ -266,19 +242,11 @@ class BatchBackend(KernelBackend):
                 runner = lambda insts, k=key: run_random_admission_batch(
                     insts, q=k[1], rng=k[2]
                 )
-            elif kind == "classify":
+            else:  # classify
                 # Working set scales with the *virtual* machine count.
                 chunk = _chunk_size(key[1], key[4])
                 runner = lambda insts, k=key: run_classify_select_batch(
                     insts, virtual_machines=k[1], rng=k[3], selected=k[2]
-                )
-            elif kind == "delayed":
-                chunk = len(members)  # per-instance loop: no SoA working set
-                runner = lambda insts, k=key: run_delayed_batch(insts, delta=k[1])
-            else:  # admission
-                chunk = len(members)
-                runner = lambda insts, k=key: run_admission_batch(
-                    insts, algorithm=k[1], slack_margin=k[2]
                 )
             for lo in range(0, len(members), chunk):
                 sel = members[lo : lo + chunk]
@@ -316,9 +284,8 @@ def run_simulations(
     ``backend="batch"`` batches every supported request and falls back to
     scalar for the rest with a loud :class:`BackendFallbackWarning`.
     ``backend="auto"`` batches exactly where the batch kernel is expected
-    to win (delayed/admission always — those kernels win within a single
-    instance; immediate-model groups of at least
-    ``_AUTO_MIN_GROUP`` compatible requests) and is silent about the rest.
+    to win (groups of at least ``_AUTO_MIN_GROUP`` compatible requests)
+    and is silent about the rest.
     """
     if backend not in BACKEND_CHOICES:
         raise ValueError(
@@ -349,7 +316,7 @@ def run_simulations(
         )
     if backend == "auto":
         for key in list(groups):
-            if key[0] in _LANE_KINDS and len(groups[key]) < _AUTO_MIN_GROUP:
+            if len(groups[key]) < _AUTO_MIN_GROUP:
                 scalar_members.extend(groups.pop(key))
 
     results: list = [None] * len(requests)

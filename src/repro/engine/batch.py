@@ -42,9 +42,7 @@ Every stateful variant reduces to one of four admission modes over the
 same step loop (``threshold``, ``greedy``, ``lee`` size classes, ``random``
 coin flips), so adding a rule is a registry entry plus, at most, a new
 admission branch — see ``docs/kernel_authoring.md`` for the full recipe.
-The delayed/admission commitment models live in
-:mod:`repro.engine.batch_delayed`; everything else falls back to the
-scalar kernel via the dispatch layer.
+Every other model falls back to the scalar kernel via the dispatch layer.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ observability surface.  This module owns that machinery once:
 
 * :func:`run_model` — the single event loop.  Engines are
   :class:`CommitmentModel` strategy objects that process one decision point
-  per :meth:`~CommitmentModel.step`; the kernel owns every ``while``.
+  per :meth:`~CommitmentModel.step`; the kernel's loop drives them (the
+  delayed and admission models keep their own loop's state in a
+  generator that each step advances by one event).
 * :class:`SimulationError` — the unified error taxonomy.  Every invalid
   *policy* decision, in every model, raises this one type with the same
   diagnostic shape (``model``, ``job_id``, ``time``).  It subclasses both
@@ -23,8 +25,8 @@ observability surface.  This module owns that machinery once:
 * :class:`RunStats` — per-run counters and timings (jobs, decisions,
   accepted load, decisions/s, audit time), attached to every outcome's
   ``meta["stats"]`` regardless of model.
-* :func:`commit_decision` — the validated machine-timeline mutation shared
-  by the timeline-committing models.
+* :func:`commit_decision` — the validated machine-timeline mutation of
+  the immediate model, whose policies are pluggable.
 * :func:`replay_events` — rebuilds a :class:`~repro.model.schedule.Schedule`
   from a recorded event stream; the property suite asserts replay fidelity
   for every schedule-producing model.
@@ -41,7 +43,7 @@ from __future__ import annotations
 import time as _time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.engine.recorder import TraceRecorder
 from repro.model.job import Job
@@ -358,21 +360,6 @@ def run_model(
     if ctx.events is not None:
         meta["events"] = ctx.events
     return outcome
-
-
-def exhaust(step: Callable[[], bool], *, limit: int = MAX_KERNEL_STEPS) -> int:
-    """Run *step* until it returns falsy; returns the iteration count.
-
-    The kernel-owned fixpoint loop used by models that perform several
-    actions at one decision point (e.g. starting jobs while machines are
-    idle).  Raises :class:`SimulationError` past *limit*.
-    """
-    count = 0
-    while step():
-        count += 1
-        if count >= limit:
-            raise SimulationError(f"fixpoint iteration exceeded limit={limit}")
-    return count
 
 
 # ----------------------------------------------------------------------

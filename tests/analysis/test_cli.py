@@ -30,6 +30,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "3.5" in out and "phase k = 2" in out
 
+    def test_bound_tiny_slack(self, capsys):
+        assert main(["bound", "--m", "2", "--eps", "1e-100"]) == 0
+        assert "c(eps=1e-100, m=2) = 2000000000000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["bound", "duel"])
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1", "5e-324"])
+    def test_unusable_slack_is_a_clean_error(self, capsys, command, eps):
+        assert main([command, "--m", "2", "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "slack" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_fig1_with_csv(self, capsys, tmp_path):
         csv = tmp_path / "fig1.csv"
         code = main(

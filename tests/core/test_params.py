@@ -8,6 +8,7 @@ the construction.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,41 @@ class TestClampEpsilon:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             clamp_epsilon(0.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="slack must be positive"):
+            clamp_epsilon(math.nan)
+
+
+class TestTinySlacks:
+    """Slacks far below 1e-18 still solve; unrepresentable ones are refused."""
+
+    @pytest.mark.parametrize("eps", [1e-100, 1e-300])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_solves_tiny_slacks(self, m, eps):
+        params = BoundFunction(m).parameters(eps)
+        target = (1.0 + eps) / eps
+        assert params.k == 1
+        assert abs(params.f[-1] - target) <= 3e-15 * target
+        assert math.isfinite(params.c) and params.c > 1.0
+
+    def test_m2_tiny_slack_value(self):
+        # c(eps, 2) = 2 f_1 + 1 with f_2 = (1+eps)/eps, so c ~ 2/sqrt(eps).
+        assert c_bound(1e-100, 2) == pytest.approx(2e50, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [5e-324, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_refuses_unusable_slacks(self, m, eps):
+        with pytest.raises(ValueError, match="slack"):
+            BoundFunction(m).parameters(eps)
+
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_overflowing_chain_refused_without_warnings(self, m):
+        # (1+eps)/eps is finite here, but c(eps, m) bracketing overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too small"):
+                BoundFunction(m).parameters(1e-308)
 
 
 class TestForwardChain:

@@ -12,10 +12,16 @@ These tests assert it three ways:
   pre-kernel snapshots in ``tests/golden/golden_traces.json`` that pin
   the scalar engines.
 
-Commitment with penalties has no batch kernel; its scalar engine is held
-to the same standard against :mod:`tests.engine.penalties_reference`, the
-earlier full-scan policy and overlap check, on the same grid, property
-and edge cases, plus an error-parity corpus of near-``TIME_EPS`` jobs.
+The delayed, commitment-on-admission and penalties models have no batch
+kernel; their scalar engines are held to the same standard against
+reference oracles on the same grid, properties and edge cases.  The
+delayed and admission loops are checked against
+:mod:`tests.engine.commitment_reference`, the earlier policy-protocol
+engines, on schedules, ``RunStats`` counters and event streams, and
+replay the golden traces through the batch backend's scalar fallback.
+Penalties is checked against :mod:`tests.engine.penalties_reference`,
+the earlier full-scan policy and overlap check, plus an error-parity
+corpus of near-``TIME_EPS`` jobs.
 
 Plus the seam's dispatch semantics: loud scalar fallback under
 ``backend="batch"``, the ``auto`` grouping heuristic, near-tie threshold
@@ -27,6 +33,7 @@ mixed-seed requests can never share a lane row).
 
 import json
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +57,8 @@ from repro.engine.batch import (
     run_immediate_batch,
     run_random_admission_batch,
 )
-from repro.engine.batch_delayed import run_admission_batch, run_delayed_batch
+from repro.engine.admission import AdmissionCommitmentModel, AdmissionGreedyPolicy
+from repro.engine.delayed import DelayedCommitmentModel, DelayedGreedyPolicy
 from repro.engine.kernel import SimulationError, run_model
 from repro.engine.policy import SequenceSource
 from repro.engine.simulator import ImmediateCommitmentModel
@@ -58,11 +66,34 @@ from repro.core.threshold import ThresholdPolicy
 from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.workloads import cloud_instance, random_instance
+from tests.engine.commitment_reference import reference_run as commitment_reference_run
 from tests.engine.penalties_reference import reference_run
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "golden_traces.json"
 
 IMMEDIATE_ALGORITHMS = sorted(IMMEDIATE_RULES)
+
+
+def _tied_instance(n, m, eps, seed):
+    """Integer sizes and few distinct release gaps, so sizes and releases
+    tie, and equal-size jobs compete for one slot."""
+    rng = random.Random(seed)
+    jobs = []
+    release = 0.0
+    for _ in range(n):
+        release += rng.choice((0.0, 0.05, 1.0))
+        p = float(rng.choice((1, 2, 3)))
+        extra = rng.choice((0.0, 0.5, 1.0))
+        jobs.append(Job(release, p, release + (1.0 + eps + extra) * p))
+    return Instance(jobs, machines=m, epsilon=eps)
+
+
+#: Workload families of the delayed and admission grids.
+COMMITMENT_FAMILIES = {
+    "random": random_instance,
+    "cloud": cloud_instance,
+    "ties": _tied_instance,
+}
 
 
 def _machine_grid(algorithm):
@@ -99,6 +130,32 @@ def _assert_immediate_equal(scalar, batch):
     assert scalar.accepted_load == batch.accepted_load
     assert scalar.accepted_count == batch.accepted_count
     assert _stats_key(scalar.stats) == _stats_key(batch.stats)
+
+
+def _event_key(events):
+    return [(e.seq, e.time, e.kind, e.job_id, e.data) for e in events]
+
+
+def _assert_commitment_equal(algorithm, inst, **kwargs):
+    """The one delayed/admission loop matches the reference engine, with
+    and without event recording."""
+    for record_events in (False, True):
+        result = run_algorithm(algorithm, inst, record_events=record_events, **kwargs)
+        reference = commitment_reference_run(
+            algorithm, inst, record_events=record_events, **kwargs
+        )
+        s, r = result.detail, reference.detail
+        assert _schedule_key(s) == _schedule_key(r)
+        assert list(s.assignments) == list(r.assignments)  # same insertion order
+        assert s.algorithm == r.algorithm
+        assert {k: v for k, v in s.meta.items() if k not in ("stats", "events")} == {
+            k: v for k, v in r.meta.items() if k not in ("stats", "events")
+        }
+        assert result.accepted_load == reference.accepted_load
+        assert result.accepted_count == reference.accepted_count
+        assert _stats_key(result.stats) == _stats_key(reference.stats)
+        if record_events:
+            assert _event_key(result.events) == _event_key(reference.events)
 
 
 def _assert_penalties_equal(result, reference):
@@ -175,34 +232,24 @@ def test_classify_select_grid_bit_identical(kwargs):
 
 
 @pytest.mark.parametrize("delta", [None, 0.0, 0.1, 10.0])
-@pytest.mark.parametrize("family", ["random", "cloud"])
+@pytest.mark.parametrize("family", sorted(COMMITMENT_FAMILIES))
 def test_delayed_grid_bit_identical(delta, family):
-    factory = random_instance if family == "random" else cloud_instance
+    factory = COMMITMENT_FAMILIES[family]
     kwargs = {} if delta is None else {"delta": delta}
     for m in (1, 2, 4):
         for seed in (0, 1):
             inst = factory(40, m, 0.25, seed=seed)
-            scalar = run_algorithm("delayed-greedy", inst, **kwargs)
-            (batch,) = BatchBackend().run_many(
-                [SimulationRequest("delayed-greedy", inst, kwargs=kwargs)]
-            )
-            assert batch.detail.meta["backend"] == "batch"
-            assert batch.detail.meta["delta"] == scalar.detail.meta["delta"]
-            _assert_immediate_equal(scalar, batch)
+            _assert_commitment_equal("delayed-greedy", inst, **kwargs)
 
 
 @pytest.mark.parametrize("algorithm", ["admission-greedy", "admission-lazy"])
-@pytest.mark.parametrize("family", ["random", "cloud"])
+@pytest.mark.parametrize("family", sorted(COMMITMENT_FAMILIES))
 def test_admission_grid_bit_identical(algorithm, family):
-    factory = random_instance if family == "random" else cloud_instance
+    factory = COMMITMENT_FAMILIES[family]
     for m in (1, 2, 4):
         for seed in (0, 1):
             inst = factory(40, m, 0.25, seed=seed)
-            scalar = run_algorithm(algorithm, inst)
-            (batch,) = BatchBackend().run_many([SimulationRequest(algorithm, inst)])
-            assert batch.detail.meta["backend"] == "batch"
-            assert batch.detail.meta["model"] == "commitment-on-admission"
-            _assert_immediate_equal(scalar, batch)
+            _assert_commitment_equal(algorithm, inst)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.5, 1.0, 3.0])
@@ -279,10 +326,11 @@ def test_empty_and_single_job_instances():
     ):
         scalar = run_algorithm("revocable-greedy", inst)
         _assert_penalties_equal(scalar, reference_run(inst, 0.5))
-        for algorithm in ("random-admission", "delayed-greedy", "admission-lazy"):
-            scalar = run_algorithm(algorithm, inst)
-            (batch,) = BatchBackend().run_many([SimulationRequest(algorithm, inst)])
-            _assert_immediate_equal(scalar, batch)
+        scalar = run_algorithm("random-admission", inst)
+        (batch,) = BatchBackend().run_many([SimulationRequest("random-admission", inst)])
+        _assert_immediate_equal(scalar, batch)
+        for algorithm in ("delayed-greedy", "admission-greedy", "admission-lazy"):
+            _assert_commitment_equal(algorithm, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +398,7 @@ def test_property_classify_select_equivalence(inst, virtual_m, seed):
 @given(inst=instances(), delta_frac=st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_property_delayed_equivalence(inst, delta_frac):
     kwargs = {} if delta_frac is None else {"delta": delta_frac * inst.epsilon}
-    scalar = run_algorithm("delayed-greedy", inst, **kwargs)
-    (batch,) = BatchBackend().run_many(
-        [SimulationRequest("delayed-greedy", inst, kwargs=kwargs)]
-    )
-    _assert_immediate_equal(scalar, batch)
-    assert scalar.detail.meta["delta"] == batch.detail.meta["delta"]
+    _assert_commitment_equal("delayed-greedy", inst, **kwargs)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -364,9 +407,7 @@ def test_property_delayed_equivalence(inst, delta_frac):
     algorithm=st.sampled_from(["admission-greedy", "admission-lazy"]),
 )
 def test_property_admission_equivalence(inst, algorithm):
-    scalar = run_algorithm(algorithm, inst)
-    (batch,) = BatchBackend().run_many([SimulationRequest(algorithm, inst)])
-    _assert_immediate_equal(scalar, batch)
+    _assert_commitment_equal(algorithm, inst)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -421,22 +462,34 @@ def _golden_schedule_snapshot(schedule):
     }
 
 
+def _fallback_schedule(algorithm, inst, **kwargs):
+    """Run through ``backend="batch"``, which serves the model by its
+    scalar loop and says so."""
+    request = SimulationRequest(algorithm, inst, kwargs=kwargs)
+    with pytest.warns(BackendFallbackWarning, match=algorithm):
+        result = run_simulation(request, backend="batch")
+    assert "backend" not in result.detail.meta
+    return result.detail
+
+
 def test_batch_replays_golden_delayed(golden, golden_instance):
     eps = golden_instance.epsilon
-    (schedule,) = run_delayed_batch([golden_instance], delta=eps / 2)
+    schedule = _fallback_schedule("delayed-greedy", golden_instance, delta=eps / 2)
     assert (
         _golden_schedule_snapshot(schedule)
         == golden["models"]["delayed[delayed-greedy,delta=0.125]"]
     )
+    _assert_commitment_equal("delayed-greedy", golden_instance, delta=eps / 2)
 
 
 @pytest.mark.parametrize("algorithm", ["admission-greedy", "admission-lazy"])
 def test_batch_replays_golden_admission(algorithm, golden, golden_instance):
-    (schedule,) = run_admission_batch([golden_instance], algorithm=algorithm)
+    schedule = _fallback_schedule(algorithm, golden_instance)
     assert (
         _golden_schedule_snapshot(schedule)
         == golden["models"][f"admission[{algorithm}]"]
     )
+    _assert_commitment_equal(algorithm, golden_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +564,15 @@ def test_batch_within_max_steps_is_fine():
 @pytest.mark.parametrize(
     "runner, model",
     [
-        (lambda inst: run_delayed_batch([inst], max_steps=3), "delayed"),
         (
-            lambda inst: run_admission_batch(
-                [inst], algorithm="admission-greedy", max_steps=3
+            lambda inst: run_model(
+                DelayedCommitmentModel(DelayedGreedyPolicy(), inst, 0.5), max_steps=3
+            ),
+            "delayed",
+        ),
+        (
+            lambda inst: run_model(
+                AdmissionCommitmentModel(AdmissionGreedyPolicy(), inst), max_steps=3
             ),
             "commitment-on-admission",
         ),
@@ -730,15 +788,24 @@ def test_auto_heuristics_for_new_immediate_variants():
         assert all(r.detail.meta["backend"] == "batch" for r in group), algorithm
 
 
-def test_auto_batches_delayed_and_admission_even_as_singletons():
-    """Those kernels win within one instance."""
+def test_delayed_and_admission_run_their_one_loop_on_every_backend():
+    """No batch kernel: ``auto`` runs them scalar, quietly, even in groups;
+    ``batch`` falls back loudly; all three give the scalar result."""
     inst = random_instance(12, 2, 0.3, seed=1)
-    for algorithm in ("delayed-greedy", "admission-greedy", "admission-lazy"):
-        (result,) = run_simulations(
-            [SimulationRequest(algorithm, inst)], backend="auto"
-        )
-        assert result.detail.meta["backend"] == "batch", algorithm
-        _assert_immediate_equal(run_algorithm(algorithm, inst), result)
+    algorithms = ("delayed-greedy", "admission-greedy", "admission-lazy")
+    requests = [SimulationRequest(a, inst) for a in algorithms for _ in range(3)]
+    assert not any(BatchBackend().supports(r) for r in requests)
+    scalar = run_simulations(requests, backend="scalar")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        auto = run_simulations(requests, backend="auto")
+    with pytest.warns(BackendFallbackWarning, match=", ".join(sorted(algorithms))):
+        batch = run_simulations(requests, backend="batch")
+    for results in zip(scalar, auto, batch):
+        for result in results:
+            assert "backend" not in result.detail.meta
+            assert _schedule_key(result.detail) == _schedule_key(results[0].detail)
+            assert _stats_key(result.stats) == _stats_key(results[0].stats)
 
 
 def test_auto_never_mixes_seed_groups():

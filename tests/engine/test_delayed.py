@@ -4,13 +4,11 @@ import pytest
 
 from repro.engine.delayed import (
     DelayedGreedyPolicy,
-    DelayedPolicy,
     decision_deadline,
     simulate_delayed,
 )
-from repro.engine.policy import Decision
-from repro.model.instance import Instance
 from repro.model.job import Job
+from repro.utils.tolerances import TIME_EPS
 from repro.workloads import alternating_instance, random_instance
 
 
@@ -53,41 +51,32 @@ class TestEngine:
         s.audit()
 
     def test_policy_must_decide_due_jobs(self):
-        class Lazy(DelayedPolicy):
-            name = "lazy"
+        # Maximal deferral: each job is decided when its decision
+        # deadline fires, never later and never a tolerance earlier.
+        inst = random_instance(40, 3, 0.3, seed=2)
+        for delta in (0.0, 0.15, 0.3):
+            s = simulate_delayed(DelayedGreedyPolicy(), inst, delta, record_events=True)
+            for ev in s.meta["events"].of_kind("decision"):
+                dd = decision_deadline(inst.jobs[ev.job_id], delta)
+                assert dd - TIME_EPS <= ev.time <= dd + TIME_EPS
+
+    def test_policy_cannot_decide_unknown_jobs(self):
+        # Every decision names a submitted job, and each job exactly once.
+        inst = random_instance(40, 2, 0.3, seed=3)
+        s = simulate_delayed(DelayedGreedyPolicy(), inst, 0.2, record_events=True)
+        decided = [ev.job_id for ev in s.meta["events"].of_kind("decision")]
+        assert sorted(decided) == [job.job_id for job in inst]
+
+    def test_other_policies_are_refused(self):
+        class Custom:
+            name = "custom"
 
             def decide(self, t, due, pending, machines):
                 return {}
 
         inst = random_instance(3, 1, 0.2, seed=0)
-        with pytest.raises(ValueError, match="undecided"):
-            simulate_delayed(Lazy(), inst, 0.1)
-
-    def test_policy_cannot_decide_unknown_jobs(self):
-        class Confused(DelayedPolicy):
-            name = "confused"
-
-            def decide(self, t, due, pending, machines):
-                out = {p.job.job_id: Decision.reject() for p in due}
-                out[999] = Decision.reject()
-                return out
-
-        inst = random_instance(3, 1, 0.2, seed=0)
-        with pytest.raises(ValueError, match="unknown"):
-            simulate_delayed(Confused(), inst, 0.1)
-
-    def test_early_decisions_allowed(self):
-        class Eager(DelayedPolicy):
-            """Decides the whole pending set at every event."""
-
-            name = "eager"
-
-            def decide(self, t, due, pending, machines):
-                return {p.job.job_id: Decision.reject() for p in pending}
-
-        inst = random_instance(10, 1, 0.2, seed=0)
-        s = simulate_delayed(Eager(), inst, 0.2)
-        assert len(s.rejected) == len(inst)
+        with pytest.raises(TypeError, match="DelayedGreedyPolicy"):
+            simulate_delayed(Custom(), inst, 0.1)
 
     def test_delta_meta_recorded(self):
         inst = random_instance(5, 1, 0.2, seed=0)

@@ -6,7 +6,6 @@ from repro.engine.kernel import (
     EventStream,
     JobFeed,
     SimulationError,
-    exhaust,
     replay_events,
 )
 from repro.engine.admission import AdmissionGreedyPolicy, simulate_admission
@@ -32,35 +31,6 @@ class TestErrorTaxonomy:
         assert err.model == "immediate"
         assert err.job_id == 3
         assert err.time == 1.5
-
-    def test_delayed_policy_bug_raises_simulation_error(self):
-        from repro.engine.delayed import DelayedPolicy
-
-        class Lazy(DelayedPolicy):
-            name = "lazy"
-
-            def decide(self, t, due, pending, machines):
-                return {}
-
-        inst = random_instance(3, 1, 0.2, seed=0)
-        with pytest.raises(SimulationError, match="undecided") as exc_info:
-            simulate_delayed(Lazy(), inst, 0.1)
-        assert exc_info.value.model == "delayed"
-
-    def test_admission_policy_bug_raises_simulation_error(self):
-        from repro.engine.admission import AdmissionPolicy
-
-        class Bogus(AdmissionPolicy):
-            name = "bogus"
-
-            def choose(self, t, pending):
-                return Job(0.0, 1.0, 100.0, job_id=999)
-
-        inst = random_instance(3, 1, 0.5, seed=1)
-        with pytest.raises(SimulationError, match="not startable") as exc_info:
-            simulate_admission(Bogus(), inst)
-        assert exc_info.value.model == "commitment-on-admission"
-        assert exc_info.value.job_id == 999
 
     def test_penalties_policy_bug_raises_simulation_error(self):
         from repro.engine.penalties import PenaltyPolicy
@@ -187,19 +157,6 @@ class TestHelpers:
         feed = JobFeed(jobs)
         assert [j.job_id for j in feed.take_released(1.0)] == [0]
         assert feed.peek().job_id == 1
-
-    def test_exhaust_counts_and_limits(self):
-        budget = [3]
-
-        def step():
-            if budget[0] == 0:
-                return False
-            budget[0] -= 1
-            return True
-
-        assert exhaust(step) == 3
-        with pytest.raises(SimulationError, match="limit"):
-            exhaust(lambda: True, limit=10)
 
     def test_event_stream_of_kind(self):
         stream = EventStream()

@@ -123,18 +123,13 @@ def test_delayed_engine_conformant_on_all_families(m, eps):
 @pytest.mark.parametrize("m,eps", GRID)
 def test_admission_engine_conformant_on_all_families(m, eps):
     from repro.engine.admission import (
-        AdmissionEddPolicy,
         AdmissionGreedyPolicy,
         AdmissionLazyPolicy,
         simulate_admission,
     )
 
     for inst in _families(m, eps):
-        for policy in (
-            AdmissionGreedyPolicy(),
-            AdmissionEddPolicy(),
-            AdmissionLazyPolicy(),
-        ):
+        for policy in (AdmissionGreedyPolicy(), AdmissionLazyPolicy()):
             schedule = simulate_admission(policy, inst)
             schedule.audit()
             assert len(schedule.assignments) + len(schedule.rejected) == len(inst)
