@@ -22,9 +22,8 @@ E25 extends the snapshot with the **batch backend**
 (:mod:`repro.engine.backend`): the immediate-model workloads through the
 structure-of-arrays NumPy kernels, amortised over a 64-instance batch (the
 batch kernel's unit of work).  The delayed, admission and penalties models
-have no batch row: their scalar engines are the fast path (one flat loop
-each for delayed and admission; penalties scans only the plans that have
-not started).  The snapshot stamps the python/numpy versions and
+have no batch row: their scalar engines, one flat loop each, are the
+fast path.  The snapshot stamps the python/numpy versions and
 per-backend speedups so regressions are attributable.
 """
 

@@ -13,9 +13,10 @@ Each commitment model of the paper's §1 taxonomy plugs into it as a thin
 * :mod:`repro.engine.preemptive` — preemptive immediate notification
   (substrate of the Section 1.2 baselines).
 
-The delayed and admission models are one flat loop each, which runs
-their built-in policies (``DelayedGreedyPolicy``,
-``AdmissionGreedyPolicy``, ``AdmissionLazyPolicy``) directly.
+The delayed, admission and penalties models are one flat loop each,
+which runs their built-in policies (``DelayedGreedyPolicy``,
+``AdmissionGreedyPolicy``, ``AdmissionLazyPolicy``,
+``RevocableGreedyPolicy``) directly.
 
 Every invalid policy decision, in every model, raises the unified
 :class:`~repro.engine.kernel.SimulationError`; every run surfaces
@@ -82,7 +83,6 @@ from repro.engine.admission import (
 from repro.engine.penalties import (
     DEFAULT_PHI,
     PenaltiesCommitmentModel,
-    PenaltyPolicy,
     RevocableGreedyPolicy,
     PenaltyOutcome,
     simulate_with_penalties,
@@ -142,7 +142,6 @@ __all__ = [
     "simulate_delayed",
     "DEFAULT_PHI",
     "PenaltiesCommitmentModel",
-    "PenaltyPolicy",
     "RevocableGreedyPolicy",
     "PenaltyOutcome",
     "simulate_with_penalties",

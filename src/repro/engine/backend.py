@@ -34,9 +34,8 @@ Unsupported algorithm/backend combinations never fail silently: under
 :class:`BackendFallbackWarning`; under ``auto`` the fallback is the
 expected behaviour and stays quiet.  The delayed, commitment-on-admission
 and penalties models (``delayed-greedy``, ``admission-greedy``,
-``admission-lazy``, ``revocable-greedy``) are among them: the first two
-run as one flat loop each, the last scans only the plans that have not
-started, and each outran the batch kernel it replaced.
+``admission-lazy``, ``revocable-greedy``) are among them: each runs as
+one flat loop, which outran the batch kernel it replaced.
 """
 
 from __future__ import annotations
@@ -287,11 +286,20 @@ def run_simulations(
     to win (groups of at least ``_AUTO_MIN_GROUP`` compatible requests)
     and is silent about the rest.
     """
+    return _dispatch(list(requests), backend)
+
+
+def run_simulation(request: SimulationRequest, backend: str = "auto") -> "RunResult":
+    """Single-request convenience wrapper over :func:`run_simulations`."""
+    return _dispatch([request], backend)[0]
+
+
+def _dispatch(requests: list[SimulationRequest], backend: str) -> "list[RunResult]":
+    """Both entry points' body; the fallback warning names their caller."""
     if backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown backend {backend!r}: expected one of {BACKEND_CHOICES}"
         )
-    requests = list(requests)
     if backend == "scalar" or not requests:
         return _SCALAR.run_many(requests)
 
@@ -312,7 +320,7 @@ def run_simulations(
                 f"backend (algorithms: {', '.join(names)}); falling back to "
                 "the scalar kernel"
             ),
-            stacklevel=2,
+            stacklevel=3,  # _dispatch <- the entry point <- its caller
         )
     if backend == "auto":
         for key in list(groups):
@@ -327,11 +335,6 @@ def run_simulations(
     for i in sorted(scalar_members):
         results[i] = _SCALAR.run(requests[i])
     return results
-
-
-def run_simulation(request: SimulationRequest, backend: str = "auto") -> "RunResult":
-    """Single-request convenience wrapper over :func:`run_simulations`."""
-    return run_simulations([request], backend=backend)[0]
 
 
 __all__ = [

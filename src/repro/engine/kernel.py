@@ -11,8 +11,8 @@ observability surface.  This module owns that machinery once:
 * :func:`run_model` — the single event loop.  Engines are
   :class:`CommitmentModel` strategy objects that process one decision point
   per :meth:`~CommitmentModel.step`; the kernel's loop drives them (the
-  delayed and admission models keep their own loop's state in a
-  generator that each step advances by one event).
+  delayed, admission and penalties models keep their own loop's state in
+  a generator that each step advances by one event or submission).
 * :class:`SimulationError` — the unified error taxonomy.  Every invalid
   *policy* decision, in every model, raises this one type with the same
   diagnostic shape (``model``, ``job_id``, ``time``).  It subclasses both

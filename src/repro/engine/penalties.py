@@ -19,28 +19,24 @@ Mechanics
 * at the end of the run, every non-revoked planned job must have met its
   deadline (audited).
 
-The event loop, validation and observability run on
-:mod:`repro.engine.kernel` via :class:`PenaltiesCommitmentModel`; policy
-bugs raise :class:`~repro.engine.kernel.SimulationError`.
+:class:`PenaltiesCommitmentModel` runs :class:`RevocableGreedyPolicy` as
+one loop under :mod:`repro.engine.kernel` (one kernel step per
+submission), which audits the outcome and records stats and events.
 
-The bundled :class:`RevocableGreedyPolicy` admits greedily and revokes a
-planned job whenever a newly arrived job is worth more than the displaced
-plan segment plus the penalty — the canonical profitable-swap rule.  At
-:math:`\\phi = 0` it approaches the power of delayed commitment; as
-:math:`\\phi \\to \\infty` it degenerates to plain greedy (benchmarked as
-E13).
+The policy admits greedily and revokes a planned job whenever a newly
+arrived job is worth more than the displaced plan segment plus the
+penalty — the canonical profitable-swap rule.  At :math:`\\phi = 0` it
+approaches the power of delayed commitment; as :math:`\\phi \\to \\infty`
+it degenerates to plain greedy (benchmarked as E13).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from bisect import insort_right
-from collections import defaultdict
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Any, Sequence
+from typing import Any, Iterator
 
-from repro.engine.kernel import CommitmentModel, JobFeed, KernelContext, run_model
+from repro.engine.kernel import CommitmentModel, KernelContext, run_model
 from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.utils.tolerances import TIME_EPS, fge
@@ -87,7 +83,9 @@ class PenaltyOutcome:
 
     @property
     def penalty_paid(self) -> float:
-        """Total penalty :math:`\\phi \\sum_{revoked} p_j`."""
+        """Total penalty :math:`\\phi \\sum_{revoked} p_j` (0.0 if none)."""
+        if not self.revoked:
+            return 0.0
         return float(
             self.phi * sum(self.instance[j].processing for j in self.revoked)
         )
@@ -121,152 +119,7 @@ class PenaltyOutcome:
                     raise AssertionError(f"jobs {j1} and {j2} overlap")
 
 
-class PenaltyPolicy(ABC):
-    """Policy interface for the penalties model."""
-
-    name: str = "penalty-policy"
-
-    def reset(self, machines: int, epsilon: float, phi: float) -> None:
-        """Prepare for a fresh run."""
-
-    @abstractmethod
-    def on_submission(
-        self, job: Job, t: float, plans: Sequence[PlannedJob]
-    ) -> tuple[PlannedJob | None, list[int]]:
-        """Decide *job* at time *t* given the current revocable *plans*.
-
-        Returns ``(plan_or_None, revoked_ids)``: a tentative plan for the
-        new job (or ``None`` to reject) plus ids of existing plans to
-        revoke.  Revoked plans must not have started; the new plan must
-        not overlap surviving plans on its machine.  The engine validates.
-        """
-
-
-class PenaltiesCommitmentModel(CommitmentModel):
-    """Kernel strategy for the commitment-with-penalties model.
-
-    One kernel step per submission; the revocable plan set is the model
-    state and every mutation (revocation, new plan) is validated here
-    before it lands.
-
-    The overlap check reads a per-machine index of the surviving plans a
-    new plan can still overlap, in insertion order.  A plan leaves the
-    index once it ends by the earliest release still to come: every later
-    plan must start at or after its decision time (up to ``TIME_EPS``), so
-    ``start < end - TIME_EPS`` can no longer hold for it.
-    """
-
-    model = "commitment-with-penalties"
-
-    def __init__(self, policy: PenaltyPolicy, instance: Instance, phi: float) -> None:
-        self.policy = policy
-        self.instance = instance
-        self.phi = phi
-        self.algorithm = policy.name
-        self.feed = JobFeed(instance.jobs)
-        self.plans: dict[int, PlannedJob] = {}
-        self.outcome: PenaltyOutcome | None = None
-        self._live: defaultdict[Any, dict[int, PlannedJob]] = defaultdict(dict)
-        # Suffix minima of the release dates, last job first: popping one
-        # per step yields the earliest decision time still to come.
-        self._floors: list[float] = []
-        floor = float("inf")
-        for job in reversed(instance.jobs):
-            floor = min(floor, job.release)
-            self._floors.append(floor)
-        self._floor = floor
-
-    def begin(self, ctx: KernelContext) -> None:
-        self.policy.reset(self.instance.machines, self.instance.epsilon, self.phi)
-        self.outcome = PenaltyOutcome(
-            instance=self.instance, algorithm=self.policy.name, phi=self.phi
-        )
-
-    def _revoke(self, ctx: KernelContext, rid: int, t: float) -> None:
-        victim = self.plans.get(rid)
-        if victim is None:
-            ctx.fail(f"policy revoked unknown plan {rid}", job_id=rid, time=t)
-        if victim.started(t):
-            ctx.fail(
-                f"plan {rid} already started at {victim.start} <= {t}: "
-                "post-start revocation is forbidden",
-                job_id=rid,
-                time=t,
-            )
-        del self.plans[rid]
-        self._live[victim.machine].pop(rid, None)
-        self.outcome.revoked.add(rid)
-        ctx.revoked(t, rid, machine=victim.machine, start=victim.start)
-
-    def _validate_plan(self, ctx: KernelContext, plan: PlannedJob, job: Job, t: float) -> None:
-        if plan.job.job_id != job.job_id:
-            ctx.fail("returned plan must be for the submitted job", job_id=job.job_id, time=t)
-        if not 0 <= plan.machine < self.instance.machines:
-            ctx.fail(f"machine {plan.machine} out of range", job_id=job.job_id, time=t)
-        if not fge(plan.start, t):
-            ctx.fail(
-                f"plan start {plan.start} precedes decision time {t}",
-                job_id=job.job_id,
-                time=t,
-            )
-        if not plan.job.feasible_start(plan.start):
-            ctx.fail(f"plan for job {job.job_id} infeasible", job_id=job.job_id, time=t)
-        live = self._live[plan.machine]
-        end = plan.end
-        for rid, other in list(live.items()):
-            other_end = other.end
-            if other_end <= self._floor:
-                del live[rid]
-            elif plan.start < other_end - TIME_EPS and other.start < end - TIME_EPS:
-                ctx.fail(
-                    f"plan for job {job.job_id} overlaps surviving plan "
-                    f"{other.job.job_id}",
-                    job_id=job.job_id,
-                    time=t,
-                )
-
-    def step(self, ctx: KernelContext) -> bool:
-        job = self.feed.pop()
-        if job is None:
-            return False
-        self._floor = self._floors.pop()
-        t = job.release
-        ctx.submitted(job, t)
-        plan, revoked_ids = self.policy.on_submission(job, t, list(self.plans.values()))
-        for rid in revoked_ids:
-            self._revoke(ctx, rid, t)
-        if plan is None:
-            self.outcome.rejected.add(job.job_id)
-            ctx.decided(t, job.job_id, False)
-            return True
-        self._validate_plan(ctx, plan, job, t)
-        self.plans[job.job_id] = plan
-        self._live[plan.machine][job.job_id] = plan
-        ctx.decided(t, job.job_id, True, plan.machine, plan.start)
-        return True
-
-    def finish(self, ctx: KernelContext) -> None:
-        self.outcome.completed = dict(self.plans)
-
-    def build(self, ctx: KernelContext) -> PenaltyOutcome:
-        return self.outcome
-
-
-def simulate_with_penalties(
-    policy: PenaltyPolicy, instance: Instance, phi: float, record_events: bool = False
-) -> PenaltyOutcome:
-    """Run *policy* on *instance* with penalty factor *phi* and audit."""
-    if phi < 0:
-        raise ValueError(f"penalty factor must be non-negative, got {phi}")
-    return run_model(
-        PenaltiesCommitmentModel(policy, instance, phi), record_events=record_events
-    )
-
-
-_START = attrgetter("start")
-
-
-class RevocableGreedyPolicy(PenaltyPolicy):
+class RevocableGreedyPolicy:
     """Greedy with as-late-as-possible placement and profitable swaps.
 
     Placement is *latest-feasible-start*: a plan stays revocable until its
@@ -276,100 +129,240 @@ class RevocableGreedyPolicy(PenaltyPolicy):
     plans of one machine: the swap executes iff the newcomer's value
     exceeds the victims' value plus the penalty,
     :math:`p_{new} > (1 + \\phi) \\sum p_{victims}`.
-
-    The policy keeps its own start-sorted plan list per machine and
-    ignores the engine's *plans* argument.  The lists mirror the engine's
-    plans because the engine applies exactly what the policy returns (the
-    new plan and the revocations) or fails the run; :meth:`reset` clears
-    them.  Equal starts keep insertion order, as a stable sort of the
-    engine's plans would.  Started plans form a prefix of each list, so a
-    submission scans the unstarted suffix and the gaps after the last
-    started plan, not every plan the machine ever ran.
+    :class:`PenaltiesCommitmentModel` runs it with the model's φ.
     """
 
     name = "revocable-greedy"
 
+
+class PenaltiesCommitmentModel(CommitmentModel):
+    """Kernel strategy for the commitment-with-penalties model.
+
+    One kernel step per submission.  The loop's state, each machine's
+    surviving plans (:class:`_Plans`), lives in a generator that each
+    :meth:`step` advances by one submission.  A plan is placed only where
+    :meth:`PenaltyOutcome.audit` accepts it (see :func:`_clear`), and
+    revocations are reported before the decision that causes them.
+    """
+
+    model = "commitment-with-penalties"
+
+    def __init__(
+        self, policy: RevocableGreedyPolicy, instance: Instance, phi: float
+    ) -> None:
+        if not isinstance(policy, RevocableGreedyPolicy):
+            raise TypeError(
+                "the penalties engine runs RevocableGreedyPolicy, "
+                f"got {type(policy).__name__}"
+            )
+        self.policy = policy
+        self.instance = instance
+        self.phi = phi
+        self.algorithm = policy.name
+        self.outcome: PenaltyOutcome | None = None
+        self._machines: list[_Plans] = []
+        self._events: Iterator[bool] = iter(())
+
+    def begin(self, ctx: KernelContext) -> None:
+        self.outcome = PenaltyOutcome(
+            instance=self.instance, algorithm=self.policy.name, phi=self.phi
+        )
+        self._machines = [_Plans() for _ in range(self.instance.machines)]
+        self._events = self._loop(ctx)
+
+    def step(self, ctx: KernelContext) -> bool:
+        return next(self._events, False)
+
+    def finish(self, ctx: KernelContext) -> None:
+        # Surviving plans in submission order (job ids are positions).
+        rows = sorted(
+            (job.job_id, machine, start)
+            for machine, plans in enumerate(self._machines)
+            for job, start in zip(plans.jobs, plans.starts)
+        )
+        jobs = self.instance.jobs
+        self.outcome.completed = {j: PlannedJob(jobs[j], m, s) for j, m, s in rows}
+
+    def build(self, ctx: KernelContext) -> PenaltyOutcome:
+        return self.outcome
+
+    def _loop(self, ctx: KernelContext) -> Iterator[bool]:
+        """The submission loop; yields once per job."""
+        phi = self.phi
+        machines = self._machines
+        revoked, rejected = self.outcome.revoked, self.outcome.rejected
+        submitted, decided, revoke = ctx.submitted, ctx.decided, ctx.revoked
+        for job in self.instance.jobs:
+            t = job.release
+            jid = job.job_id
+            submitted(job, t)
+            # 1) plain placement: pick the machine offering the latest start.
+            started = []
+            best = None
+            chosen = 0
+            for machine, plans in enumerate(machines):
+                starts = plans.starts
+                n = k = len(starts)
+                while k and t < starts[k - 1] - TIME_EPS:
+                    k -= 1
+                started.append(k)
+                start = _latest_start(job, t, plans, k, n)
+                if start is not None and (best is None or start > best):
+                    best, chosen = start, machine
+            if best is None:
+                # 2) profitable swap: drop all not-yet-started plans on the
+                #    machine with the cheapest removable load, if the
+                #    newcomer pays for it.
+                options = []
+                for machine, plans in enumerate(machines):
+                    k = started[machine]
+                    if k == len(plans.starts):
+                        continue
+                    start = _latest_start(job, t, plans, k, k)
+                    if start is None:
+                        continue
+                    cost = sum(victim.processing for victim in plans.jobs[k:])
+                    options.append((cost, machine, start, k))
+                if options:
+                    cost, machine, start, k = min(options, key=lambda o: o[0])
+                    if job.processing > (1.0 + phi) * cost + TIME_EPS:
+                        plans = machines[machine]
+                        for victim, victim_start in zip(plans.jobs[k:], plans.starts[k:]):
+                            revoked.add(victim.job_id)
+                            revoke(t, victim.job_id, machine=machine, start=victim_start)
+                        plans.truncate(k)
+                        best, chosen = start, machine
+            if best is None:
+                rejected.add(jid)
+                decided(t, jid, False)
+            else:
+                machines[chosen].place(job, best)
+                decided(t, jid, True, chosen, best)
+            yield True
+
+
+class _Plans:
+    """One machine's surviving plans in start order, as three columns.
+
+    Row *i* plans ``jobs[i]`` on ``[starts[i], ends[i])``, with ``ends[i]``
+    the float :attr:`PlannedJob.end` gives.  Equal starts keep insertion
+    order.  Started plans form a prefix, so a submission scans only the
+    unstarted suffix and the gaps after it; a swap revokes that suffix.
+    """
+
+    __slots__ = ("starts", "ends", "jobs")
+
     def __init__(self) -> None:
-        self._phi = 0.0
-        self._busy: list[list[PlannedJob]] = []
+        self.starts: list[float] = []
+        self.ends: list[float] = []
+        self.jobs: list[Job] = []
 
-    def reset(self, machines: int, epsilon: float, phi: float) -> None:
-        self._phi = phi
-        self._busy = [[] for _ in range(machines)]
+    def place(self, job: Job, start: float) -> None:
+        i = bisect_right(self.starts, start)
+        self.starts.insert(i, start)
+        self.ends.insert(i, start + job.processing)
+        self.jobs.insert(i, job)
 
-    # -- helpers --------------------------------------------------------
-    @staticmethod
-    def _started(busy: list[PlannedJob], t: float) -> int:
-        """Length of the started prefix of a start-sorted plan list."""
-        k = len(busy)
-        while k and not busy[k - 1].started(t):
-            k -= 1
-        return k
+    def truncate(self, k: int) -> None:
+        del self.starts[k:], self.ends[k:], self.jobs[k:]
 
-    @staticmethod
-    def _latest_start(
-        job: Job, t: float, busy: list[PlannedJob], k: int, n: int
-    ) -> float | None:
-        """Latest feasible start in the gaps of ``busy[:n]`` (*k* started).
 
-        Folds the gaps between consecutive plans front to back.  A gap
-        that closes at or before plan ``k - 1``'s start offers at most
-        ``min(d, busy[k - 1].start) - p`` against a floor of at least
-        *earliest*; when that is below the floor's tolerance, every such
-        gap is invalid, leaves the fold untouched, and is skipped.
-        """
-        earliest = max(t, job.release)
-        d = job.deadline
-        p = job.processing
-        if k and min(d, busy[k - 1].start) - p < earliest - TIME_EPS:
-            i, lo = k, busy[k - 1].end
-        else:
-            i, lo = 0, earliest
-        best = None
-        while True:
-            hi = busy[i].start if i < n else float("inf")
-            lo = max(lo, earliest)
-            start = min(d, hi) - p
-            if start >= lo - TIME_EPS and fge(d, start + p):
-                if best is None or start > best:
-                    best = max(start, lo)
-            if i == n:
-                return best
-            lo = busy[i].end
-            i += 1
+def _latest_start(job: Job, t: float, plans: _Plans, k: int, n: int) -> float | None:
+    """Latest usable start in the gaps between the first *n* plans (*k* started).
 
-    def _place(self, plan: PlannedJob) -> PlannedJob:
-        insort_right(self._busy[plan.machine], plan, key=_START)
-        return plan
+    Folds the gaps front to back.  A gap's candidate is ``min(d, next
+    start) - p`` clamped up to the gap's lower edge; a gap whose candidate
+    :func:`_clear` refuses is skipped.  A gap that closes at or before
+    plan ``k - 1``'s start offers at most ``min(d, starts[k - 1]) - p``;
+    when that is below *earliest*'s tolerance every such gap is invalid
+    and the fold starts at gap *k*.  ``x if x >= y else y`` is ``max(x,
+    y)`` and ``x if x <= y else y`` is ``min(x, y)``, float for float.
+    """
+    starts, ends = plans.starts, plans.ends
+    release = job.release
+    earliest = t if t >= release else release
+    d = job.deadline
+    p = job.processing
+    i, lo = 0, earliest
+    if k:
+        hi = starts[k - 1]
+        if (d if d <= hi else hi) - p < earliest - TIME_EPS:
+            i, lo = k, ends[k - 1]
+    best = None
+    while True:
+        hi = starts[i] if i < n else float("inf")
+        if lo < earliest:
+            lo = earliest
+        start = (d if d <= hi else hi) - p
+        if start >= lo - TIME_EPS and d >= start + p - TIME_EPS:
+            if best is None or start > best:
+                s = start if start >= lo else lo
+                if _clear(job, s, plans, n, i):
+                    best = s
+        if i == n:
+            return best
+        lo = ends[i]
+        i += 1
 
-    def on_submission(self, job, t, plans):
-        # 1) plain placement: pick the machine offering the latest start.
-        started = [self._started(busy, t) for busy in self._busy]
-        best: tuple[float, int] | None = None
-        for machine, busy in enumerate(self._busy):
-            start = self._latest_start(job, t, busy, started[machine], len(busy))
-            if start is not None and (best is None or start > best[0]):
-                best = (start, machine)
-        if best is not None:
-            return self._place(PlannedJob(job, best[1], best[0])), []
 
-        # 2) profitable swap: drop all not-yet-started plans on the machine
-        #    with the cheapest removable load, if the newcomer pays for it.
-        options = []
-        for machine, busy in enumerate(self._busy):
-            k = started[machine]
-            if k == len(busy):
-                continue
-            start = self._latest_start(job, t, busy, k, k)
-            if start is None:
-                continue
-            cost = sum(p.job.processing for p in busy[k:])
-            options.append((cost, machine, start, k))
-        if options:
-            cost, machine, start, k = min(options, key=lambda o: o[0])
-            if job.processing > (1.0 + self._phi) * cost + TIME_EPS:
-                busy = self._busy[machine]
-                revoked = [p.job.job_id for p in busy[k:]]
-                del busy[k:]
-                return self._place(PlannedJob(job, machine, start)), revoked
-        return None, []
+def _clear(job: Job, s: float, plans: _Plans, n: int, i: int) -> bool:
+    """Whether *job* may start at *s* among the first *n* plans.
+
+    The rule is :meth:`PenaltyOutcome.audit`'s: *s* meets the deadline,
+    and in the plans ordered by ``(start, end, job_id)`` the new plan's
+    predecessor ends by *s* and its successor starts by the new end, up
+    to ``TIME_EPS``.  (*s* is gap *i*'s candidate, so it is past the
+    release, the decision time and plan ``i - 1``'s start.)  The plans
+    already keep that order's neighbours apart, so the new plan's two
+    neighbours, next to the fold's position, are the only ones to check.
+    """
+    starts, ends = plans.starts, plans.ends
+    e = s + job.processing
+    if not job.deadline >= e - TIME_EPS:
+        return False
+    # Plans [0, a) start before s, [a, b) at s and [b, n) after s.
+    a = i
+    while a and starts[a - 1] >= s:
+        a -= 1
+    while a < n and starts[a] < s:
+        a += 1
+    if a:
+        # The plans of the last start before s: one of them precedes the
+        # new plan unless a plan starting at s does.
+        group = starts[a - 1]
+        j = a - 1
+        while j >= 0 and starts[j] == group:
+            if s < ends[j] - TIME_EPS:
+                return False
+            j -= 1
+    lim = e - TIME_EPS
+    jid = job.job_id
+    b = a
+    while b < n and starts[b] == s:
+        end = ends[b]
+        if end < e or (end == e and plans.jobs[b].job_id < jid):
+            if s < end - TIME_EPS:
+                return False
+        elif s < lim:
+            return False
+        b += 1
+    return b == n or starts[b] >= lim
+
+
+def simulate_with_penalties(
+    policy: RevocableGreedyPolicy,
+    instance: Instance,
+    phi: float,
+    record_events: bool = False,
+) -> PenaltyOutcome:
+    """Run *policy* on *instance* with penalty factor *phi* and audit.
+
+    ``phi`` must be a non-negative number; ``phi = inf`` never revokes.
+    Any policy other than a :class:`RevocableGreedyPolicy` raises
+    ``TypeError``.
+    """
+    if not phi >= 0:
+        raise ValueError(f"penalty factor must be a non-negative number, got {phi}")
+    return run_model(
+        PenaltiesCommitmentModel(policy, instance, phi), record_events=record_events
+    )

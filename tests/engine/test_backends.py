@@ -20,8 +20,9 @@ delayed and admission loops are checked against
 engines, on schedules, ``RunStats`` counters and event streams, and
 replay the golden traces through the batch backend's scalar fallback.
 Penalties is checked against :mod:`tests.engine.penalties_reference`,
-the earlier full-scan policy and overlap check, plus an error-parity
-corpus of near-``TIME_EPS`` jobs.
+the earlier full-scan policy and overlap check, on schedules, counters and
+event streams, plus a corpus of jobs near and below ``TIME_EPS`` that the
+loop completes wherever the reference refuses a plan.
 
 Plus the seam's dispatch semantics: loud scalar fallback under
 ``backend="batch"``, the ``auto`` grouping heuristic, near-tie threshold
@@ -67,7 +68,7 @@ from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.workloads import cloud_instance, random_instance
 from tests.engine.commitment_reference import reference_run as commitment_reference_run
-from tests.engine.penalties_reference import reference_run
+from tests.engine.penalties_reference import first_refusal, reference_run
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "golden_traces.json"
 
@@ -169,6 +170,17 @@ def _assert_penalties_equal(result, reference):
     assert s.completed_load == b.completed_load
     assert s.penalty_paid == b.penalty_paid
     assert _stats_key(result.stats) == _stats_key(reference.stats)
+    if "events" in b.meta:
+        assert _event_key(result.events) == _event_key(reference.events)
+
+
+def _assert_penalties_match(inst, phi):
+    """The loop matches the reference, with and without event recording."""
+    for record_events in (False, True):
+        _assert_penalties_equal(
+            run_algorithm("revocable-greedy", inst, phi=phi, record_events=record_events),
+            reference_run(inst, phi, record_events=record_events),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +268,7 @@ def test_admission_grid_bit_identical(algorithm, family):
 def test_penalties_grid_bit_identical(phi):
     for m in (1, 2, 4):
         for seed in (0, 1):
-            inst = random_instance(50, m, 0.2, seed=seed)
-            scalar = run_algorithm("revocable-greedy", inst, phi=phi)
-            _assert_penalties_equal(scalar, reference_run(inst, phi))
+            _assert_penalties_match(random_instance(50, m, 0.2, seed=seed), phi)
 
 
 def _tiny_job_instance(seed):
@@ -273,33 +283,61 @@ def _tiny_job_instance(seed):
     return Instance(jobs, machines=rng.choice((1, 2)), epsilon=1.0)
 
 
-def test_penalties_error_parity_on_tiny_jobs():
-    """Where the reference fails a run, the engine fails it identically.
+def _sub_eps_job_instance(seed):
+    """Jobs of 0.1-4 ``TIME_EPS``, released 0-2 ``TIME_EPS`` apart, with
+    deadlines 0-2 ``TIME_EPS`` past ``r + 2p``, at offsets 0, 1e3, 1e6."""
+    rng = random.Random(seed)
+    release = (0.0, 1e3, 1e6)[seed % 3]
+    jobs = []
+    for _ in range(rng.randint(6, 14)):
+        release += rng.choice((0.0, rng.uniform(0.0, 2e-9)))
+        p = rng.choice((rng.uniform(1e-10, 1e-9), rng.uniform(1e-9, 4e-9)))
+        jobs.append(Job(release, p, release + 2.0 * p + rng.choice((0.0, 1e-9, 2e-9))))
+    return Instance(jobs, machines=rng.choice((1, 2)), epsilon=1.0)
 
-    At processing times of a few ``TIME_EPS`` the policy can propose a
-    plan its own engine rejects (a known defect, kept as is); the message,
-    ``job_id`` and ``time`` of each rejection must match the reference.
+
+#: (instance family, seeds, penalty factors) of the tiny-job corpus.
+TINY_JOB_CORPUS = [
+    (_tiny_job_instance, range(200), (0.0, 0.5, 3.0)),
+    (_sub_eps_job_instance, range(200), (0.0, 0.5)),
+]
+
+
+def test_penalties_tiny_jobs_complete_and_match_reference():
+    """Every tiny-job run completes and passes the audit; each run the
+    reference completes too is bit-identical to it.
+
+    At processing times near ``TIME_EPS`` the reference's policy proposes
+    plans its own engine refuses (``SimulationError``), or, below
+    ``TIME_EPS``, plans that only the audit refuses (``AssertionError``).
+    Where the reference first refuses job ``k``, the loop's event stream
+    up to job ``k``'s submission equals the reference's.
     """
-    failures = 0
-    for seed in range(200):
-        inst = _tiny_job_instance(seed)
-        for phi in (0.0, 0.5, 3.0):
-            try:
-                expected = reference_run(inst, phi)
-            except SimulationError as ref_err:
-                failures += 1
-                with pytest.raises(SimulationError) as err:
-                    run_algorithm("revocable-greedy", inst, phi=phi)
-                assert str(err.value) == str(ref_err)
-                assert (err.value.job_id, err.value.time) == (
-                    ref_err.job_id,
-                    ref_err.time,
+    refused = audit_refused = 0
+    for family, seeds, phis in TINY_JOB_CORPUS:
+        for seed in seeds:
+            inst = family(seed)
+            for phi in phis:
+                result = run_algorithm(
+                    "revocable-greedy", inst, phi=phi, record_events=True
                 )
-                continue
-            _assert_penalties_equal(
-                run_algorithm("revocable-greedy", inst, phi=phi), expected
-            )
-    assert failures >= 100  # the corpus must exercise the rejection path
+                result.detail.audit()
+                try:
+                    expected = reference_run(inst, phi, record_events=True)
+                except (SimulationError, AssertionError) as err:
+                    refused += 1
+                    audit_refused += isinstance(err, AssertionError)
+                    k, before = first_refusal(inst, phi)
+                    events = _event_key(result.events)
+                    cut = next(
+                        i for i, e in enumerate(events) if e[2:4] == ("submission", k)
+                    )
+                    assert events[:cut] == _event_key(before)
+                    continue
+                _assert_penalties_equal(result, expected)
+    # The corpus must exercise both kinds of refusal.
+    assert refused >= 100
+    assert audit_refused >= 1
 
 
 def test_batched_group_equals_independent_runs():
@@ -413,8 +451,7 @@ def test_property_admission_equivalence(inst, algorithm):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=instances(), phi=st.floats(min_value=0.0, max_value=4.0))
 def test_property_penalties_equivalence(inst, phi):
-    scalar = run_algorithm("revocable-greedy", inst, phi=phi)
-    _assert_penalties_equal(scalar, reference_run(inst, phi))
+    _assert_penalties_match(inst, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +654,21 @@ def test_explicit_batch_falls_back_loudly_for_unsupported():
     assert results[0].detail.meta["backend"] == "batch"
     assert results[1].accepted_load == run_algorithm("dasgupta-palis", inst).accepted_load
     _assert_penalties_equal(results[2], run_algorithm("revocable-greedy", inst))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda request: run_simulation(request, backend="batch"),
+        lambda request: run_simulations([request], backend="batch"),
+    ],
+    ids=["run_simulation", "run_simulations"],
+)
+def test_fallback_warning_names_the_caller(run):
+    request = SimulationRequest("revocable-greedy", random_instance(5, 2, 0.3, seed=0))
+    with pytest.warns(BackendFallbackWarning) as record:
+        run(request)
+    assert [Path(w.filename).name for w in record] == [Path(__file__).name]
 
 
 def test_record_events_falls_back_to_scalar():

@@ -32,19 +32,6 @@ class TestErrorTaxonomy:
         assert err.job_id == 3
         assert err.time == 1.5
 
-    def test_penalties_policy_bug_raises_simulation_error(self):
-        from repro.engine.penalties import PenaltyPolicy
-
-        class Confused(PenaltyPolicy):
-            name = "confused"
-
-            def on_submission(self, job, t, plans):
-                return None, [12345]
-
-        inst = random_instance(3, 1, 0.2, seed=0)
-        with pytest.raises(SimulationError, match="unknown plan"):
-            simulate_with_penalties(Confused(), inst, 0.0)
-
     def test_preemptive_policy_bug_raises_simulation_error(self):
         from repro.engine.preemptive import PreemptivePolicy
 
