@@ -23,7 +23,7 @@ from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.model.machine import MachineState
 from repro.model.schedule import Schedule
-from repro.offline.exact import EXACT_JOB_LIMIT, exact_optimum
+from repro.offline.exact import EXACT_JOB_LIMIT, ExactSolverBudgetExceeded, exact_optimum
 from repro.offline.heuristics import best_offline_schedule
 from repro.utils.rng import rng_from_any
 
@@ -32,8 +32,9 @@ class OraclePolicy(OnlinePolicy):
     """Replays an offline schedule online (hindsight reference).
 
     The plan is built at :meth:`prime` time (exact optimum when the
-    instance is small enough, the heuristic packer otherwise) and the
-    online run simply commits each planned job at its planned slot.  The
+    instance is small enough and its search stays within the state
+    budget, the heuristic packer otherwise) and the online run simply
+    commits each planned job at its planned slot.  The
     engine still audits everything, so the oracle is also a self-check of
     the offline solvers' feasibility.
     """
@@ -47,9 +48,13 @@ class OraclePolicy(OnlinePolicy):
     def prime(self, instance: Instance) -> "OraclePolicy":
         """Compute the offline plan for *instance*; returns ``self``."""
         if len(instance) <= EXACT_JOB_LIMIT:
-            self._plan = exact_optimum(instance).schedule
-        else:
-            self._plan = best_offline_schedule(instance)
+            try:
+                self._plan = exact_optimum(instance).schedule
+            except ExactSolverBudgetExceeded:
+                pass
+            else:
+                return self
+        self._plan = best_offline_schedule(instance)
         return self
 
     def reset(self, machines: int, epsilon: float) -> None:

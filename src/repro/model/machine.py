@@ -209,24 +209,40 @@ class MachineState:
         start = self.append_start(job, t)
         return fge(job.deadline, start + job.processing)
 
-    def free_intervals(self, t: float, horizon: float) -> list[Interval]:
-        """Idle intervals of the committed timeline within ``[t, horizon)``.
+    def earliest_feasible_start(self, job: Job) -> float | None:
+        """Earliest start of *job* in an idle gap of the timeline, or ``None``.
 
-        Used by gap-filling baselines and the audit layer.
+        One walk over the commitments from the job's release.  Commitments
+        that end by the cursor (within ``TIME_EPS``) are skipped; a gap
+        opens where a commitment starts more than ``TIME_EPS`` after the
+        cursor, and ends there or at the deadline, whichever is first; the
+        last gap runs from the cursor to the deadline.  A gap no longer
+        than ``TIME_EPS`` is passed over, and the first gap the job fits
+        returns its start.  Used by the offline packer
+        (:mod:`repro.offline.heuristics`).
         """
-        gaps: list[Interval] = []
-        cursor = t
-        for c in self._commitments:
-            if c.end <= cursor + TIME_EPS:
+        deadline = job.deadline
+        processing = job.processing
+        cursor = job.release
+        for start, end in zip(self._starts, self._ends):
+            if end <= cursor + TIME_EPS:
                 continue
-            if c.start > cursor + TIME_EPS:
-                gaps.append(Interval(cursor, min(c.start, horizon)))
-            cursor = max(cursor, c.end)
-            if cursor >= horizon:
-                break
-        if cursor < horizon - TIME_EPS:
-            gaps.append(Interval(cursor, horizon))
-        return [g for g in gaps if g.length > TIME_EPS]
+            if start > cursor + TIME_EPS:
+                # The gap ends by the deadline, so fitting it meets the
+                # deadline too.
+                gap_end = min(start, deadline)
+                if gap_end - cursor > TIME_EPS and gap_end >= cursor + processing - TIME_EPS:
+                    return cursor
+            cursor = end
+            if cursor >= deadline:
+                return None
+        if (
+            cursor < deadline - TIME_EPS
+            and deadline - cursor > TIME_EPS
+            and deadline >= cursor + processing - TIME_EPS
+        ):
+            return cursor
+        return None
 
     def committed_load(self) -> float:
         """Total processing time ever committed to this machine."""

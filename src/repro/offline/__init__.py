@@ -5,7 +5,7 @@ subset of jobs on ``m`` machines meeting all deadlines — is NP-hard, so
 the library provides a portfolio:
 
 * :mod:`repro.offline.exact` — branch-and-bound exact optimum for small
-  instances (memoised DFS over dispatch sequences with load-based pruning);
+  instances (memoised DFS over dispatch sequences in canonical order);
 * :mod:`repro.offline.dp` — exact dynamic program for the common-release
   single-machine case (pseudo-polynomial; used to cross-check adversarial
   constructions);

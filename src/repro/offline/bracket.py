@@ -1,7 +1,8 @@
 """Bracketing the offline optimum: ``lower <= OPT <= upper``.
 
-Small instances get the exact value (both ends coincide); large instances
-combine the heuristic packer (lower) with the flow relaxation (upper).
+Small instances get the exact value (both ends coincide); large instances,
+and small ones whose exact search outgrows its state budget, combine the
+heuristic packer (lower) with the flow relaxation (upper).
 Empirical competitive ratios computed against ``upper`` are conservative
 *over*-estimates of the true ratio — the safe direction when checking an
 algorithm against its theoretical guarantee.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.model.instance import Instance
 from repro.offline.bounds import opt_upper_bound
-from repro.offline.exact import EXACT_JOB_LIMIT, exact_optimum
+from repro.offline.exact import EXACT_JOB_LIMIT, ExactSolverBudgetExceeded, exact_optimum
 from repro.offline.heuristics import opt_lower_bound
 
 
@@ -49,11 +50,17 @@ def opt_bracket(
     """Compute a certified bracket of the offline optimum of *instance*.
 
     ``force_bounds`` skips the exact solver even on small instances (used
-    by benchmarks that time the bound computations themselves).
+    by benchmarks that time the bound computations themselves).  A small
+    instance whose exact search exceeds
+    :data:`~repro.offline.exact.MAX_EXPLORED_STATES` gets the bounds too.
     """
     if len(instance) <= exact_limit and not force_bounds:
-        value = exact_optimum(instance, job_limit=exact_limit).value
-        return OptBracket(lower=value, upper=value, exact=True)
+        try:
+            value = exact_optimum(instance, job_limit=exact_limit).value
+        except ExactSolverBudgetExceeded:
+            pass
+        else:
+            return OptBracket(lower=value, upper=value, exact=True)
     lower = opt_lower_bound(instance)
     upper = opt_upper_bound(instance)
     # Numerical safety: the heuristic is a real schedule, so it can exceed

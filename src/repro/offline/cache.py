@@ -62,7 +62,9 @@ from repro.offline.exact import EXACT_JOB_LIMIT
 #: the bracket computation or the entry layout changes meaning, and every
 #: previously written entry becomes unreachable (a clean global miss).
 #: Version 2: the flow bound is the exact maximum flow rounded up.
-CACHE_VERSION = 2
+#: Version 3: exact values are summed in canonical dispatch order, which
+#: can move them by a few ulps.
+CACHE_VERSION = 3
 
 #: Sentinel ``cache_dir`` selecting a memory-only cache (no disk tier).
 MEMORY_ONLY = ":memory:"

@@ -4,8 +4,22 @@ Left-shift normalisation: every feasible schedule can be normalised so
 each job starts at ``max(release, completion of its machine predecessor)``
 without violating any deadline.  Normalised schedules are exactly the
 outcomes of *dispatch sequences* — repeatedly appending some job to some
-machine — so DFS over (job, machine-frontier) choices with memoisation on
-``(remaining jobs, sorted frontiers)`` enumerates the full solution space.
+machine — and the search builds them in one canonical order.
+
+Canonical dispatch: a state branches only on the machine that frees
+earliest (the smallest frontier), which takes one alive job next,
+starting at ``max(release, frontier)``.  Nothing is missed.  Take any
+left-shifted schedule and repeat: pick the machine with the smallest
+frontier and dispatch its next job in the schedule; if it has none left
+while another machine has, first hand it that machine's remaining
+sequence — it frees no later, so each moved job starts no later and
+still meets its deadline.  This builds a schedule of the same jobs, and
+every job it dispatches is alive at the smallest frontier.  (Letting
+that machine take no further job while a job is alive is never better:
+taking the job adds its load and leaves every other machine as it was.)
+Appending any alive job to any machine would reach one schedule once for
+every interleaving of the machines' sequences; a memo hit saves the
+subtree, but not the child built each time.
 
 State representation: the remaining jobs are an integer bitmask (bit
 ``i`` is job id ``i``, which :class:`~repro.model.instance.Instance` makes
@@ -13,35 +27,35 @@ the job's position) and the frontiers a sorted tuple of machine
 completion times rounded to ``_KEY_DECIMALS`` decimals; the memo is keyed
 on ``(mask, frontiers)``.
 
-State-space reductions:
+State-space reductions (no bound prunes a branch):
 
 * frontiers are kept as a sorted tuple (machines are identical);
-* only *distinct* frontier values are branched on;
 * jobs that can no longer meet their deadline from the smallest frontier
   are dropped from the state (frontiers only grow along a branch) — the
   alive set of a frontier value is one bitmask, computed the first time
   the value occurs;
 * branches are explored largest-job-first, so strong incumbents come
-  early, and a state returns as soon as its best branch schedules all
-  of its remaining load (``best >= total - TIME_EPS``).
-
-There is no bound that prunes a branch.  The cut at the head of the job
-loop (``p + total - p <= best + TIME_EPS``) can only fire once the
-incumbent is within ``TIME_EPS`` of the remaining load, and by then the
-state has returned: in effect it fires only when the remaining load is
-at most ``TIME_EPS``.
+  early, and a state returns as soon as its best branch schedules all of
+  its remaining load (``best >= total - TIME_EPS``).
 
 Ties are broken by job id: equal processing times branch in ascending
 job id, and a state's remaining load is summed in ascending job id.  So
 the search order, the value, the schedule and
 :attr:`ExactResult.explored_states` are a function of the instance alone.
+A state's value is ``p + child`` for the branch that set it, so the
+value is the schedule's processing times summed from the last dispatched
+job back to the first, and :meth:`_Solver.reconstruct` follows the
+branch that reproduces each memoised value exactly.
 
 The solver is exponential by nature; :data:`EXACT_JOB_LIMIT` guards
-against accidental use on large instances.
+against accidental use on large instances, and
+:data:`MAX_EXPLORED_STATES` against the rare instance below the limit
+whose state space explodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.model.instance import Instance
@@ -60,7 +74,11 @@ MAX_EXPLORED_STATES = 2_000_000
 
 
 class ExactSolverBudgetExceeded(RuntimeError):
-    """The branch-and-bound exceeded its state budget (use opt_bracket)."""
+    """The branch-and-bound exceeded its state budget.
+
+    :func:`repro.offline.bracket.opt_bracket` catches it and returns the
+    heuristic/flow bracket instead.
+    """
 
 #: Frontier values are rounded to this many decimals for memo keys.
 _KEY_DECIMALS = 9
@@ -84,15 +102,13 @@ class _Solver:
         self.instance = instance
         self.jobs = instance.jobs  # position == job id == bit
         self.processing = [job.processing for job in self.jobs]
-        #: branch order: largest processing time first, ties by job id.
-        self.order = sorted(range(len(self.jobs)), key=lambda i: -self.processing[i])
-        #: per job in branch order: its bit, p, r, d and its rounded end
-        #: when it starts at its release.
+        #: per job, largest processing time first and ties by job id: its
+        #: id, bit, p, r and its rounded end when it starts at its release.
         self.branches = []
-        for jid in self.order:
+        for jid in sorted(range(len(self.jobs)), key=lambda i: -self.processing[i]):
             job = self.jobs[jid]
             end = _round_key(job.release + job.processing)
-            self.branches.append((1 << jid, job.processing, job.release, job.deadline, end))
+            self.branches.append((jid, 1 << jid, job.processing, job.release, end))
         self.memo: dict[tuple[int, tuple[float, ...]], float] = {}
         #: alive-job mask per smallest-frontier value (see :meth:`_alive`).
         self.alive_at: dict[float, int] = {}
@@ -122,103 +138,74 @@ class _Solver:
 
     def _expand(self, remaining: int, frontiers: tuple[float, ...]) -> float:
         """Search a state that is alive-filtered, non-empty and not memoised."""
-        if len(self.memo) >= MAX_EXPLORED_STATES:
+        memo = self.memo
+        if len(memo) >= MAX_EXPLORED_STATES:
             raise ExactSolverBudgetExceeded(
-                f"exact solver exceeded {MAX_EXPLORED_STATES} memoised states; "
-                "use repro.offline.bracket.opt_bracket(force_bounds=True) instead"
+                f"exact solver exceeded {MAX_EXPLORED_STATES} memoised states"
             )
         # Remaining load, summed in ascending job id.
         total_possible = sum(p for jid, p in enumerate(self.processing) if remaining >> jid & 1)
+        frontier, others = frontiers[0], frontiers[1:]
         best = 0.0
-        for bit, p, r, d, release_end in self.branches:
+        # Every remaining job is alive at the smallest frontier, so it meets
+        # its deadline when that machine takes it next.
+        for _, bit, p, r, release_end in self.branches:
             if not remaining & bit:
                 continue
-            if p + total_possible - p <= best + TIME_EPS:
-                break  # in effect: the remaining load is at most TIME_EPS
-            rest = remaining ^ bit
-            previous = None
-            for slot, frontier in enumerate(frontiers):
-                if frontier == previous:  # sorted: equal frontiers are adjacent
-                    continue
-                previous = frontier
-                if r >= frontier:
-                    # The job is alive at frontiers[0] <= frontier <= r, so
-                    # it meets its deadline from its release.
-                    end = release_end
-                else:
-                    finish = frontier + p
-                    if not fge(d, finish):
-                        continue
-                    end = _round_key(finish)
-                child_frontiers = list(frontiers)
-                child_frontiers[slot] = end
-                child_frontiers.sort()
-                child_frontiers = tuple(child_frontiers)
-                child = rest & self._alive(child_frontiers[0])
-                if child:
-                    additional = self.memo.get((child, child_frontiers))
-                    if additional is None:
-                        additional = self._expand(child, child_frontiers)
-                else:
-                    additional = 0.0
-                value = p + additional
-                if value > best + TIME_EPS:
-                    best = value
-                if best >= total_possible - TIME_EPS:
-                    self.memo[remaining, frontiers] = best
-                    return best
-        self.memo[remaining, frontiers] = best
+            end = release_end if r >= frontier else _round_key(frontier + p)
+            child_frontiers = tuple(sorted((*others, end)))
+            child = (remaining ^ bit) & self._alive(child_frontiers[0])
+            if child:
+                additional = memo.get((child, child_frontiers))
+                if additional is None:
+                    additional = self._expand(child, child_frontiers)
+            else:
+                additional = 0.0
+            value = p + additional
+            if value > best + TIME_EPS:
+                best = value
+            if best >= total_possible - TIME_EPS:
+                memo[remaining, frontiers] = best
+                return best
+        memo[remaining, frontiers] = best
         return best
 
     # ------------------------------------------------------------------
     def reconstruct(self) -> Schedule:
-        """Rebuild one optimal schedule by walking the memoised values."""
+        """Rebuild one optimal schedule by following the memoised values.
+
+        Each step takes the first branch, in search order, whose value
+        equals the state's memoised value bit for bit, until that value
+        is 0.
+        """
         machines = [MachineState(i) for i in range(self.instance.machines)]
         schedule = Schedule(instance=self.instance, algorithm="offline-exact")
         remaining = (1 << len(self.jobs)) - 1
         frontiers = tuple([0.0] * self.instance.machines)
-        # Track which physical machine owns each frontier slot.
+        # The physical machine behind each frontier slot.
         slot_machines = list(range(self.instance.machines))
 
         while True:
             remaining &= self._alive(frontiers[0])
-            if not remaining:
-                break
             target = self.best_additional(remaining, frontiers)
-            if target <= TIME_EPS:
+            if target == 0.0:
                 break
-            moved = False
-            for jid in self.order:
-                if not remaining >> jid & 1:
+            frontier, others = frontiers[0], frontiers[1:]
+            for jid, bit, p, r, release_end in self.branches:
+                if not remaining & bit:
                     continue
-                job = self.jobs[jid]
-                tried: set[float] = set()
-                for slot, frontier in enumerate(frontiers):
-                    if frontier in tried:
-                        continue
-                    tried.add(frontier)
-                    start = max(job.release, frontier)
-                    if not fge(job.deadline, start + job.processing):
-                        continue
-                    new_frontiers = list(frontiers)
-                    new_frontiers[slot] = _round_key(start + job.processing)
-                    order = sorted(range(len(new_frontiers)), key=lambda i: new_frontiers[i])
-                    candidate = job.processing + self.best_additional(
-                        remaining ^ (1 << jid),
-                        tuple(new_frontiers[i] for i in order),
-                    )
-                    if abs(candidate - target) <= 1e-7:
-                        machine_idx = slot_machines[slot]
-                        machines[machine_idx].commit(job, start)
-                        schedule.assignments[jid] = Assignment(jid, machine_idx, start)
-                        remaining ^= 1 << jid
-                        slot_machines = [slot_machines[i] for i in order]
-                        frontiers = tuple(new_frontiers[i] for i in order)
-                        moved = True
-                        break
-                if moved:
+                end = release_end if r >= frontier else _round_key(frontier + p)
+                child_frontiers = tuple(sorted((*others, end)))
+                if p + self.best_additional(remaining ^ bit, child_frontiers) == target:
+                    start = max(r, frontier)
+                    machine_idx = slot_machines.pop(0)
+                    machines[machine_idx].commit(self.jobs[jid], start)
+                    schedule.assignments[jid] = Assignment(jid, machine_idx, start)
+                    slot_machines.insert(child_frontiers.index(end), machine_idx)
+                    remaining ^= bit
+                    frontiers = child_frontiers
                     break
-            if not moved:  # pragma: no cover - defensive
+            else:  # pragma: no cover - defensive
                 raise RuntimeError("reconstruction failed to follow the memo")
         for jid in range(len(self.jobs)):
             if jid not in schedule.assignments:
@@ -231,7 +218,9 @@ def exact_optimum(instance: Instance, job_limit: int = EXACT_JOB_LIMIT) -> Exact
     """Exact offline optimum of *instance* (small instances only).
 
     Raises ``ValueError`` when the instance exceeds *job_limit* jobs — use
-    :func:`repro.offline.bracket.opt_bracket` for large instances.
+    :func:`repro.offline.bracket.opt_bracket` for large instances — and
+    :class:`ExactSolverBudgetExceeded` when the search outgrows
+    :data:`MAX_EXPLORED_STATES`.
     """
     if len(instance) > job_limit:
         raise ValueError(
@@ -243,8 +232,8 @@ def exact_optimum(instance: Instance, job_limit: int = EXACT_JOB_LIMIT) -> Exact
         (1 << len(instance)) - 1, tuple([0.0] * instance.machines)
     )
     schedule = solver.reconstruct()
-    if abs(schedule.accepted_load - value) > 1e-6:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"reconstructed load {schedule.accepted_load} != optimum {value}"
-        )
+    # The value is the schedule's load, summed in another order.
+    load = math.fsum(instance[jid].processing for jid in schedule.assignments)
+    if abs(load - value) > len(instance) * math.ulp(value):  # pragma: no cover - defensive
+        raise RuntimeError(f"reconstructed load {load} != optimum {value}")
     return ExactResult(value=value, schedule=schedule, explored_states=len(solver.memo))

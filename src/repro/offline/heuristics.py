@@ -5,7 +5,9 @@ feasible position on any machine (allowing placement into idle *gaps*, not
 just at timeline ends — this is what distinguishes the offline packer from
 the online greedy), then try to squeeze every rejected job into remaining
 gaps.  The best resulting schedule is returned; its load is a valid lower
-bound because the schedule is audited.
+bound because the schedule is audited.  Each machine finds a job's earliest
+start in one walk over its timeline
+(:meth:`repro.model.machine.MachineState.earliest_feasible_start`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.model.machine import MachineState
 from repro.model.schedule import Assignment, Schedule
-from repro.utils.tolerances import TIME_EPS, fge
+from repro.utils.tolerances import TIME_EPS
 
 #: Job orderings tried by the portfolio, name -> sort key.
 ORDERINGS: dict[str, Callable[[Job], tuple]] = {
@@ -29,20 +31,6 @@ ORDERINGS: dict[str, Callable[[Job], tuple]] = {
 }
 
 
-def earliest_feasible_start(machine: MachineState, job: Job) -> float | None:
-    """Earliest start of *job* on *machine*'s current timeline, gaps included.
-
-    Scans the idle intervals of the committed timeline within the job's
-    window; returns ``None`` when no gap fits.
-    """
-    horizon = job.deadline
-    for gap in machine.free_intervals(job.release, horizon):
-        start = max(gap.start, job.release)
-        if fge(gap.end, start + job.processing) and fge(job.deadline, start + job.processing):
-            return start
-    return None
-
-
 def _pack(instance: Instance, ordered: Sequence[Job]) -> Schedule:
     """Insert jobs in the given order, earliest-feasible-start placement."""
     machines = [MachineState(i) for i in range(instance.machines)]
@@ -51,7 +39,7 @@ def _pack(instance: Instance, ordered: Sequence[Job]) -> Schedule:
     for job in ordered:
         placements = []
         for ms in machines:
-            start = earliest_feasible_start(ms, job)
+            start = ms.earliest_feasible_start(job)
             if start is not None:
                 placements.append((start, ms))
         if placements:
@@ -64,7 +52,7 @@ def _pack(instance: Instance, ordered: Sequence[Job]) -> Schedule:
     for job in pending:
         placed = False
         for ms in machines:
-            start = earliest_feasible_start(ms, job)
+            start = ms.earliest_feasible_start(job)
             if start is not None:
                 ms.commit(job, start)
                 schedule.assignments[job.job_id] = Assignment(job.job_id, ms.index, start)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.reference import OraclePolicy, RandomAdmissionPolicy, run_oracle
 from repro.engine.simulator import simulate
+from repro.offline import exact
 from repro.offline.exact import exact_optimum
 from repro.offline.heuristics import best_offline_schedule
 from repro.workloads import random_instance
@@ -35,6 +36,12 @@ class TestOracle:
         inst = random_instance(5, 1, 0.2, seed=0)
         with pytest.raises(RuntimeError, match="prime"):
             simulate(OraclePolicy(), inst)
+
+    def test_budget_overrun_plans_heuristically(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_EXPLORED_STATES", 10)
+        inst = random_instance(12, 2, 0.1, seed=3)
+        schedule = run_oracle(inst)
+        assert schedule.accepted_load == best_offline_schedule(inst).accepted_load
 
     def test_explicit_plan_accepted(self):
         inst = random_instance(8, 2, 0.2, seed=1)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.model.job import Job
 from repro.model.machine import MachineState
+from repro.utils.tolerances import TIME_EPS
+from tests.offline import packer_reference
 
 
 class TestCommit:
@@ -177,16 +179,41 @@ class TestFrontierAndFits:
 
 
 class TestFreeIntervals:
+    """Idle gaps, as :meth:`MachineState.earliest_feasible_start` walks them."""
+
     def test_empty_machine_single_gap(self):
-        gaps = MachineState(0).free_intervals(0.0, 10.0)
-        assert len(gaps) == 1 and gaps[0].length == 10.0
+        # The whole window [0, 10) is one gap.
+        ms = MachineState(0)
+        assert ms.earliest_feasible_start(Job(0.0, 10.0, 10.0)) == 0.0
+        assert ms.earliest_feasible_start(Job(2.0, 8.0, 10.0)) == 2.0
+        # A window no longer than TIME_EPS is no gap.
+        assert ms.earliest_feasible_start(Job(1.0, TIME_EPS / 2, 1.0 + TIME_EPS / 2)) is None
 
     def test_gaps_around_commitments(self):
+        # Gaps [0, 2), [4, 7) and [9, deadline).
         ms = MachineState(0)
         ms.commit(Job(0.0, 2.0, 20.0, job_id=1), start=2.0)
         ms.commit(Job(0.0, 2.0, 20.0, job_id=2), start=7.0)
-        gaps = ms.free_intervals(0.0, 10.0)
-        assert [(g.start, g.end) for g in gaps] == [(0.0, 2.0), (4.0, 7.0), (9.0, 10.0)]
+        cases = [
+            (Job(0.0, 2.0, 10.0), 0.0),  # fills [0, 2)
+            (Job(0.0, 2.5, 10.0), 4.0),  # too long for [0, 2)
+            (Job(5.0, 2.0, 10.0), 5.0),  # released inside [4, 7)
+            (Job(2.5, 1.0, 10.0), 4.0),  # released inside a commitment
+            (Job(7.5, 1.0, 10.0), 9.0),
+            (Job(0.0, 3.5, 10.0), None),  # longer than every gap
+            (Job(7.5, 1.0, 9.5), None),  # [9, 9.5) is clipped by the deadline
+            (Job(0.0, 1.0, 9.5), 0.0),
+        ]
+        assert [ms.earliest_feasible_start(job) for job, _ in cases] == [
+            start for _, start in cases
+        ]
+
+    def test_gap_clipped_to_time_eps_is_no_gap(self):
+        # The deadline clips the gap [0, 2) to exactly TIME_EPS.
+        ms = MachineState(0)
+        ms.commit(Job(0.0, 1.0, 20.0, job_id=1), start=2.0)
+        assert ms.earliest_feasible_start(Job(0.0, TIME_EPS / 2, TIME_EPS)) is None
+        assert ms.earliest_feasible_start(Job(0.0, TIME_EPS / 2, 2 * TIME_EPS)) == 0.0
 
     def test_committed_load(self):
         ms = MachineState(0)
@@ -200,3 +227,37 @@ class TestFreeIntervals:
         clone = ms.clone()
         clone.commit(Job(0.0, 2.0, 20.0, job_id=2), start=2.0)
         assert len(ms) == 1 and len(clone) == 2
+
+
+#: Gaps and lengths around ``TIME_EPS``: commitments that touch end to
+#: start, overlap by less than ``TIME_EPS`` or nest inside the previous
+#: one's tail, and jobs shorter than ``TIME_EPS``.
+_EDGE_GAPS = st.sampled_from([-TIME_EPS / 2, 0.0, TIME_EPS / 2, TIME_EPS, 1.5 * TIME_EPS])
+_EDGE_LENGTHS = st.sampled_from([TIME_EPS / 4, TIME_EPS, 2 * TIME_EPS, 1.0])
+
+
+@st.composite
+def _timeline_and_job(draw):
+    ms = packer_reference.MachineState(0)
+    t, previous = 0.0, -1.0
+    for jid in range(draw(st.integers(0, 8))):
+        start = t + draw(_EDGE_GAPS | st.floats(0.0, 3.0))
+        if start < 0.0 or start <= previous:  # starts stay distinct
+            start = t
+        p = draw(_EDGE_LENGTHS | st.floats(1e-10, 2.0))
+        ms.commit(Job(start, p, start + p, job_id=jid), start)
+        t, previous = max(t, start + p), start
+    release = draw(st.sampled_from([0.0, t]) | st.floats(0.0, t + 1.0))
+    p = draw(_EDGE_LENGTHS | st.floats(1e-10, 3.0))
+    deadline = release + p + draw(st.sampled_from([0.0, TIME_EPS / 2, TIME_EPS]) | st.floats(0.0, 4.0))
+    return ms, Job(release, p, deadline, job_id=99)
+
+
+@given(_timeline_and_job())
+def test_earliest_feasible_start_matches_gap_list(timeline_and_job):
+    # The walk against the idle-gap list it replaced, bit for bit.
+    ms, job = timeline_and_job
+    start = ms.earliest_feasible_start(job)
+    reference = packer_reference.earliest_feasible_start(ms, job)
+    assert (start is None) == (reference is None)
+    assert start is None or start.hex() == reference.hex()

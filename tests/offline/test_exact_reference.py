@@ -1,11 +1,15 @@
 """The bitmask branch-and-bound against the frozenset solver it replaced.
 
-``tests/offline/exact_reference.py`` keeps the earlier solver verbatim.
-Both must agree bit for bit: the value, every assignment, the rejected
-set, ``explored_states`` and any exception.  The earlier solver took two
-orders from ``frozenset`` iteration, which is ascending job id only while
-every id is below 8; the rewrite uses ascending job id throughout.  That
-gives the two documented differences, both from 9 jobs on:
+``tests/offline/exact_reference.py`` keeps the frozenset solver verbatim,
+and ``tests/offline/bitmask_reference.py`` the bitmask solver that
+replaced it, as it was before the search branched only on the machine
+that frees earliest (``tests/offline/test_exact_canonical.py`` compares
+the live solver with it).  The two references must agree bit for bit:
+the value, every assignment, the rejected set, ``explored_states`` and
+any exception.  The frozenset solver took two orders from ``frozenset``
+iteration, which is ascending job id only while every id is below 8; the
+bitmask solver uses ascending job id throughout.  That gives the two
+documented differences, both from 9 jobs on:
 
 * equal processing times branch in job id order (pinned below);
 * a state's remaining load is summed in job id order.  The sum can then
@@ -14,9 +18,12 @@ gives the two documented differences, both from 9 jobs on:
   TIME_EPS``): ``explored_states`` and the value can change at the
   ``TIME_EPS`` scale (pinned below).
 
-From 9 jobs on, the rewrite is therefore compared with the earlier
-solver run with every ``frozenset`` iterated in job id order, which is
-exactly the two rules above; that comparison is bit for bit again.
+From 9 jobs on, the bitmask solver is therefore compared with the
+frozenset solver run with every ``frozenset`` iterated in job id order,
+which is exactly the two rules above; that comparison is bit for bit
+again.  The live solver still follows both rules, so
+:func:`test_ties_branch_in_job_id_order` (one machine, where it searches
+as the bitmask solver did) runs on it.
 """
 
 from __future__ import annotations
@@ -27,10 +34,9 @@ from hypothesis import strategies as st
 
 from repro.model.instance import Instance
 from repro.model.job import Job
-from repro.offline import exact
 from repro.offline.exact import ExactSolverBudgetExceeded, exact_optimum
 from repro.workloads import random_instance
-from tests.offline import exact_reference
+from tests.offline import bitmask_reference, exact_reference
 
 
 def _outcome(solve, instance):
@@ -49,7 +55,7 @@ def _outcome(solve, instance):
 
 
 def _assert_matches_reference(instance):
-    assert _outcome(exact_optimum, instance) == _outcome(
+    assert _outcome(bitmask_reference.exact_optimum, instance) == _outcome(
         exact_reference.exact_optimum, instance
     )
 
@@ -68,7 +74,7 @@ def _assert_matches_reference_in_job_id_order(instance):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact_reference, "frozenset", _IdOrdered, raising=False)
         reference = _outcome(exact_reference.exact_optimum, instance)
-    assert _outcome(exact_optimum, instance) == reference
+    assert _outcome(bitmask_reference.exact_optimum, instance) == reference
 
 
 def _distinct_instances(n, scale):
@@ -151,9 +157,9 @@ def test_matches_reference_on_benchmark_cells(n, eps):
 
 def test_budget_error_matches_reference(monkeypatch):
     instance = random_instance(12, 2, 0.1, seed=3)
-    monkeypatch.setattr(exact, "MAX_EXPLORED_STATES", 50)
+    monkeypatch.setattr(bitmask_reference, "MAX_EXPLORED_STATES", 50)
     monkeypatch.setattr(exact_reference, "MAX_EXPLORED_STATES", 50)
-    outcome = _outcome(exact_optimum, instance)
+    outcome = _outcome(bitmask_reference.exact_optimum, instance)
     assert outcome[:2] == ("raised", ExactSolverBudgetExceeded)
     assert "exceeded 50 memoised states" in outcome[2]
     assert outcome == _outcome(exact_reference.exact_optimum, instance)
@@ -185,7 +191,7 @@ def test_nano_load_sum_order_can_move_the_value():
     # before the lower ids); the last bit of that sum flipped an early
     # exit, so it returned a value TIME_EPS lower after one state fewer.
     # The schedule is the same, and the reference in job id order agrees
-    # with the rewrite.
+    # with the bitmask solver.
     jobs = [
         Job(0.0, 2.594625806958867e-09, 2.594625806958867e-09),
         Job(3.1083534524842254e-09, 1.0000000000000003e-09, 4.108353452484226e-09),
@@ -198,7 +204,7 @@ def test_nano_load_sum_order_can_move_the_value():
         Job(8.185186334531067e-09, 1.798325268114944e-09, 9.98351160264601e-09),
     ]
     instance = Instance(jobs, machines=1, epsilon=1.0, validate=False)
-    new = _outcome(exact_optimum, instance)
+    new = _outcome(bitmask_reference.exact_optimum, instance)
     old = _outcome(exact_reference.exact_optimum, instance)
     assert (new[0], new[3]) == ((8.490964850584988e-09).hex(), 9)
     assert (old[0], old[3]) == ((7.490964850584987e-09).hex(), 8)

@@ -1,18 +1,19 @@
 """Unit tests for the offline packing heuristics."""
 
+import random
+
 import pytest
 
 from repro.model.instance import Instance
 from repro.model.job import Job
 from repro.model.machine import MachineState
 from repro.offline.exact import exact_optimum
-from repro.offline.heuristics import (
-    ORDERINGS,
-    best_offline_schedule,
-    earliest_feasible_start,
-    opt_lower_bound,
-)
+from repro.offline.heuristics import ORDERINGS, best_offline_schedule, opt_lower_bound
+from repro.utils.tolerances import TIME_EPS
 from repro.workloads import random_instance
+from repro.workloads.cloud import cloud_instance
+from repro.workloads.sweep import cell_seed_for
+from tests.offline import packer_reference
 
 
 def _inst(jobs, m=1, eps=0.5):
@@ -21,24 +22,24 @@ def _inst(jobs, m=1, eps=0.5):
 
 class TestEarliestFeasibleStart:
     def test_empty_machine(self):
-        assert earliest_feasible_start(MachineState(0), Job(1, 2, 10, job_id=0)) == 1.0
+        assert MachineState(0).earliest_feasible_start(Job(1, 2, 10, job_id=0)) == 1.0
 
     def test_uses_gap(self):
         ms = MachineState(0)
         ms.commit(Job(0, 2, 50, job_id=9), 0.0)
         ms.commit(Job(0, 2, 50, job_id=8), 5.0)
         # Gap [2, 5) fits a 2-unit job.
-        assert earliest_feasible_start(ms, Job(0, 2, 10, job_id=0)) == pytest.approx(2.0)
+        assert ms.earliest_feasible_start(Job(0, 2, 10, job_id=0)) == pytest.approx(2.0)
 
     def test_no_gap_returns_none(self):
         ms = MachineState(0)
         ms.commit(Job(0, 3, 50, job_id=9), 0.0)
-        assert earliest_feasible_start(ms, Job(0, 2, 4, job_id=0)) is None
+        assert ms.earliest_feasible_start(Job(0, 2, 4, job_id=0)) is None
 
     def test_deadline_blocks_late_gap(self):
         ms = MachineState(0)
         ms.commit(Job(0, 5, 50, job_id=9), 0.0)
-        assert earliest_feasible_start(ms, Job(0, 1, 5.5, job_id=0)) is None
+        assert ms.earliest_feasible_start(Job(0, 1, 5.5, job_id=0)) is None
 
 
 class TestBestOfflineSchedule:
@@ -70,3 +71,72 @@ class TestBestOfflineSchedule:
 
     def test_orderings_cover_known_families(self):
         assert {"edd", "long-first", "release"} <= set(ORDERINGS)
+
+
+def _packed(pack, instance):
+    """Everything two packers must agree on, floats as exact hex."""
+    try:
+        schedule = pack(instance)
+    except ValueError as exc:  # errors must match too
+        return ("raised", str(exc))
+    return (
+        schedule.accepted_load.hex(),
+        schedule.meta["ordering"],
+        {jid: (a.machine, a.start.hex()) for jid, a in schedule.assignments.items()},
+        schedule.rejected,
+    )
+
+
+def _assert_packs_like_reference(instance):
+    packed = _packed(best_offline_schedule, instance)
+    assert packed == _packed(packer_reference.best_offline_schedule, instance)
+    return packed
+
+
+def _edge_instance(seed, m, sub_eps_share):
+    """Whole-number windows, so commitments touch end to start, with a
+    share of jobs no longer than TIME_EPS."""
+    rng = random.Random(seed)
+    jobs = []
+    for _ in range(20):
+        if rng.random() < sub_eps_share:
+            p = rng.choice([TIME_EPS / 4, TIME_EPS / 2, TIME_EPS])
+        else:
+            p = float(rng.randint(1, 3))
+        release = float(rng.randint(0, 10))
+        jobs.append(Job(release, p, release + p * rng.choice([1.0, 1.0, 2.0, 3.0])))
+    return Instance(jobs, machines=m, epsilon=1.0, validate=False)
+
+
+class TestMatchesGapListPacker:
+    """The one-walk packer against the gap-list packer it replaced."""
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4])
+    def test_sweep_cold_flow_cells(self, eps):
+        # The cloud cells of the sweep-cold benchmark (n = 60, m = 4).
+        for rep in range(6):
+            _assert_packs_like_reference(
+                cloud_instance(60, 4, eps, seed=cell_seed_for(5001, eps, 4, rep))
+            )
+
+    @pytest.mark.parametrize("factory", [random_instance, cloud_instance])
+    @pytest.mark.parametrize("n", [15, 40, 120])
+    def test_random_and_cloud(self, factory, n):
+        for m in range(1, 6):
+            _assert_packs_like_reference(factory(n, m, 0.1 * m, seed=n + m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_touching_commitments(self, m):
+        for seed in range(10):
+            _assert_packs_like_reference(_edge_instance(seed, m, sub_eps_share=0.0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_jobs_shorter_than_time_eps(self, m):
+        # A commitment no longer than TIME_EPS that starts at a job's
+        # release is skipped as ended, and committing over it raises:
+        # both packers raise alike on those instances.
+        outcomes = [
+            _assert_packs_like_reference(_edge_instance(seed, m, sub_eps_share=0.1))
+            for seed in range(10)
+        ]
+        assert any(outcome[0] != "raised" for outcome in outcomes)
