@@ -218,30 +218,43 @@ class MachineState:
         cursor, and ends there or at the deadline, whichever is first; the
         last gap runs from the cursor to the deadline.  A gap no longer
         than ``TIME_EPS`` is passed over, and the first gap the job fits
-        returns its start.  Used by the offline packer
-        (:mod:`repro.offline.heuristics`).
+        returns its start.  That start is the cursor, unless a skipped
+        commitment (one no longer than ``TIME_EPS``) starts at or after the
+        cursor and less than ``p - TIME_EPS`` after it: :meth:`commit`
+        would refuse the cursor for overlapping it, so the start is the
+        latest end of the skipped commitments from the cursor on.  Used by
+        the offline packer (:mod:`repro.offline.heuristics`).
         """
         deadline = job.deadline
         processing = job.processing
         cursor = job.release
+        # Among the commitments skipped since the cursor last moved that
+        # start at or after it: whether one would overlap a start at the
+        # cursor, and the latest end (where they are all behind).
+        blocked, passed = False, cursor
         for start, end in zip(self._starts, self._ends):
             if end <= cursor + TIME_EPS:
+                if start >= cursor:
+                    blocked = blocked or start < cursor + processing - TIME_EPS
+                    passed = max(passed, end)
                 continue
             if start > cursor + TIME_EPS:
                 # The gap ends by the deadline, so fitting it meets the
                 # deadline too.
                 gap_end = min(start, deadline)
-                if gap_end - cursor > TIME_EPS and gap_end >= cursor + processing - TIME_EPS:
-                    return cursor
-            cursor = end
+                first = passed if blocked else cursor
+                if gap_end - first > TIME_EPS and gap_end >= first + processing - TIME_EPS:
+                    return first
+            cursor, blocked, passed = end, False, end
             if cursor >= deadline:
                 return None
+        first = passed if blocked else cursor
         if (
-            cursor < deadline - TIME_EPS
-            and deadline - cursor > TIME_EPS
-            and deadline >= cursor + processing - TIME_EPS
+            first < deadline - TIME_EPS
+            and deadline - first > TIME_EPS
+            and deadline >= first + processing - TIME_EPS
         ):
-            return cursor
+            return first
         return None
 
     def committed_load(self) -> float:

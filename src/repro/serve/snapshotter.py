@@ -1,17 +1,17 @@
-"""Durable decision log: crash recovery through the sealed-journal machinery.
+"""Durable decision log: crash recovery on the sealed append-only log.
 
 Every decision the server makes is appended to an append-only JSONL
-journal *before* its reply leaves the process, using the same primitives
-as the sweep checkpoint journal (:mod:`repro.workloads.journal`): one
-self-contained record per line with a content CRC, a fingerprinted
-header binding the log to its service configuration, and a SHA-256 seal
-record on clean shutdown.  A record is written, flushed and fsync'd as
-it is appended, or, inside :meth:`DecisionJournal.group`, together with
-every other record of the group in one write, one flush and one fsync
-(group commit: the server answers a whole socket read that way).  A
-failed commit is never swallowed: the journal refuses every later write,
-so no decision that may have missed the disk is ever acknowledged.  The
-log is simultaneously:
+journal *before* its reply leaves the process.  The file is a
+:mod:`repro.utils.sealed_log`, the same log the sweep checkpoint journal
+is written on: one self-contained record per line with a content CRC, a
+fingerprinted header binding the log to its service configuration, and a
+SHA-256 seal record on clean shutdown.  A record is written, flushed and
+fsync'd as it is appended, or, inside :meth:`DecisionJournal.group`,
+together with every other record of the group in one write, one flush
+and one fsync (group commit: the server answers a whole socket read that
+way).  A failed commit is never swallowed: the journal refuses every
+later write, so no decision that may have missed the disk is ever
+acknowledged.  The log is simultaneously:
 
 * the **snapshot** — deterministic policies rebuild their exact state by
   replaying the logged jobs (``repro serve --resume``), and resume
@@ -26,7 +26,7 @@ Record shapes::
     {"kind": "header", "version": 1, "service": {...}}
     {"kind": "decision", "seq": 0, "job": [r, p, d, w],
      "dec": [accepted, machine, start], "crc": "9a0b1c2d"}
-    {"kind": "seal", ...}                      # workloads.journal.make_seal
+    {"kind": "seal", ...}                      # utils.sealed_log.make_seal
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ import json
 import math
 import os
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterator, Sequence
+from typing import Any, ContextManager, Sequence
 
 from repro.engine.controller import (
     AdmissionController,
@@ -47,7 +46,12 @@ from repro.engine.controller import (
 )
 from repro.model.instance import Instance
 from repro.model.job import Job
-from repro.workloads.journal import _split_lines, fingerprint_sha256, make_seal
+from repro.utils.sealed_log import (
+    LogReader,
+    LogWriter,
+    fingerprint_diff,
+    fingerprint_sha256,
+)
 
 #: Decision-log format version; bumped on incompatible record changes.
 DECISION_LOG_VERSION = 1
@@ -179,31 +183,21 @@ def load_decision_journal(path: str | os.PathLike[str]) -> DecisionLogState:
     :class:`DecisionJournalError` — unlike sweep cells, decisions are an
     *ordered* history, so a hole cannot simply be recomputed around.
     """
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    lines = _split_lines(data)
-    if not lines:
+    return _read_decisions(LogReader(path))
+
+
+def _read_decisions(reader: LogReader) -> DecisionLogState:
+    """One pass of *reader* over a decision log (see :func:`load_decision_journal`)."""
+    path = reader.path
+    if not reader.lines:
         raise DecisionJournalError(f"{path}: decision log is empty")
     state: DecisionLogState | None = None
-    truncated = False
-    valid_bytes = 0
     sealed = False
-    import hashlib
-
-    hasher = hashlib.sha256()
-    for i, (raw, end) in enumerate(lines):
-        try:
-            record = json.loads(raw.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("record is not a JSON object")
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            if i == len(lines) - 1:
-                truncated = True  # hard kill mid-append; decision re-served
-                break
+    for i, _, record in reader:
+        if record is None:
             raise DecisionJournalError(
-                f"{path}: corrupt decision record on line {i + 1}: {exc}"
-            ) from exc
+                f"{path}: corrupt decision record on line {i + 1}: {reader.error}"
+            ) from reader.error
         kind = record.get("kind")
         if kind == "header":
             if record.get("version") != DECISION_LOG_VERSION:
@@ -241,7 +235,7 @@ def load_decision_journal(path: str | os.PathLike[str]) -> DecisionLogState:
             if state is None:
                 raise DecisionJournalError(f"{path}: seal precedes the header")
             problems = []
-            if record.get("stream_sha256") != hasher.hexdigest():
+            if record.get("stream_sha256") != reader.hasher.hexdigest():
                 problems.append("stream hash mismatch")
             if record.get("fingerprint_sha256") != fingerprint_sha256(
                 state.service
@@ -252,17 +246,15 @@ def load_decision_journal(path: str | os.PathLike[str]) -> DecisionLogState:
                     f"{path}: seal verification failed on line {i + 1}: "
                     + "; ".join(problems)
                 )
-            sealed = i == len(lines) - 1
+            sealed = i == len(reader.lines) - 1
         else:
             raise DecisionJournalError(
                 f"{path}: unknown decision-log record kind {kind!r}"
             )
-        hasher.update(raw)
-        valid_bytes = end
     if state is None:
         raise DecisionJournalError(f"{path}: decision log has no header record")
-    state.truncated_tail = truncated
-    state.valid_bytes = valid_bytes
+    state.truncated_tail = reader.truncated_tail
+    state.valid_bytes = reader.valid_bytes
     state.sealed = sealed
     return state
 
@@ -275,42 +267,32 @@ class DecisionJournal:
     survives a crash.  :meth:`group` makes a batch of decisions durable
     with one write, flush and fsync.  :meth:`seal` closes a clean
     shutdown with a verifiable SHA-256 seal (same shape as sweep-journal
-    seals).
+    seals).  A failed commit raises :class:`DecisionJournalError` and
+    every later write refuses.
     """
 
-    def __init__(self, path: str, fh: IO[str], service: dict[str, Any]) -> None:
-        self.path = path
-        self._fh = fh
+    def __init__(
+        self, log: LogWriter, service: dict[str, Any], decisions: int = 0
+    ) -> None:
+        self._log = log
+        self.path = log.path
         self.service = service
-        import hashlib
-
-        self._hasher = hashlib.sha256()
-        self._records = 0
-        self.decisions = 0
-        #: Lines :meth:`record_decision` staged inside :meth:`group`.
-        self._staged: list[str] | None = None
-        #: The error of the commit that failed; every later write refuses.
-        self._failed: OSError | None = None
+        #: Decision records in the file (the seal's ``cells``).
+        self.decisions = decisions
 
     @classmethod
     def create(
         cls, path: str | os.PathLike[str], service: dict[str, Any]
     ) -> "DecisionJournal":
         """Start a fresh log; refuses to clobber an existing non-empty one."""
-        try:
-            fh = open(path, "x", encoding="utf-8")
-        except FileExistsError:
-            if os.path.getsize(path) > 0:
-                raise DecisionJournalError(
-                    f"{os.fspath(path)}: decision log already exists; resume "
-                    "from it (repro serve --resume) or delete it explicitly"
-                ) from None
-            fh = open(path, "w", encoding="utf-8")
-        journal = cls(os.fspath(path), fh, service)
-        journal._append(
-            {"kind": "header", "version": DECISION_LOG_VERSION, "service": service}
+        log = LogWriter.create(
+            path,
+            {"kind": "header", "version": DECISION_LOG_VERSION, "service": service},
+            DecisionJournalError,
+            "decision log",
+            "resume from it (repro serve --resume) or delete it explicitly",
         )
-        return journal
+        return cls(log, service)
 
     @classmethod
     def resume(
@@ -321,38 +303,18 @@ class DecisionJournal:
         The service fingerprint must match the header (a log from a
         different algorithm/fleet must not be extended), and a truncated
         trailing line (hard kill mid-append) is chopped off before the
-        file is reopened, exactly like the sweep journal's resume.
+        file is reopened, exactly like the sweep journal's resume.  The
+        file is read once: the writer continues the load's stream hash.
         """
-        state = load_decision_journal(path)
+        reader = LogReader(path)
+        state = _read_decisions(reader)
         if state.service != service:
-            diffs = [
-                key
-                for key in sorted(set(state.service) | set(service))
-                if state.service.get(key) != service.get(key)
-            ]
             raise DecisionJournalError(
-                f"{os.fspath(path)}: decision log was written by a different "
-                f"service (mismatched fields: {', '.join(diffs)})"
+                f"{reader.path}: decision log was written by a different "
+                f"service (mismatched fields: {fingerprint_diff(state.service, service)})"
             )
-        if state.truncated_tail:
-            with open(path, "r+b") as trunc:
-                trunc.truncate(state.valid_bytes)
-        fh = open(path, "a", encoding="utf-8")
-        journal = cls(os.fspath(path), fh, service)
-        journal._prime_from_disk()
-        return journal, state
-
-    def _prime_from_disk(self) -> None:
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        for raw, _ in _split_lines(data):
-            self._hasher.update(raw)
-            self._records += 1
-            try:
-                if json.loads(raw.decode("utf-8")).get("kind") == "decision":
-                    self.decisions += 1
-            except (json.JSONDecodeError, UnicodeDecodeError, AttributeError):
-                pass
+        log = LogWriter.reopen(reader, DecisionJournalError, "decision log")
+        return cls(log, service, len(state.decisions)), state
 
     def record_decision(self, seq: int, job: Job, decision: Any) -> None:
         """Append one served decision.
@@ -365,19 +327,16 @@ class DecisionJournal:
         before this returns.  Inside it the record is staged, and it is
         durable once the group has committed.
         """
-        line = _decision_line(
-            seq,
-            (job.release, job.processing, job.deadline, job.weight),
-            (bool(decision.accepted), decision.machine, decision.start),
+        self._log.write(
+            _decision_line(
+                seq,
+                (job.release, job.processing, job.deadline, job.weight),
+                (bool(decision.accepted), decision.machine, decision.start),
+            )
         )
-        if self._staged is None:
-            self._commit([line])
-        else:
-            self._staged.append(line)
         self.decisions += 1
 
-    @contextmanager
-    def group(self) -> Iterator[None]:
+    def group(self) -> ContextManager[None]:
         """Commit every decision recorded in the block together on exit.
 
         The staged records go out with one write, one flush and one fsync,
@@ -387,63 +346,14 @@ class DecisionJournal:
         replay.  A caller must not acknowledge any of them before the
         block has exited without error.
         """
-        if self._staged is not None:
-            raise RuntimeError("decision-journal groups do not nest")
-        self._staged = []
-        try:
-            yield
-        finally:
-            staged, self._staged = self._staged, None
-            if staged:
-                self._commit(staged)
+        return self._log.group()
 
     def seal(self) -> None:
         """Close a clean shutdown with a covering seal (stays resumable)."""
-        self._append(
-            make_seal(
-                stream_sha256=self._hasher.hexdigest(),
-                records=self._records,
-                cells=self.decisions,
-                fingerprint=self.service,
-            )
-        )
+        self._log.seal(cells=self.decisions, fingerprint=self.service)
 
     def close(self) -> None:
-        if not self._fh.closed:
-            try:
-                self._fh.close()
-            except OSError:
-                # Closing re-flushes what a failed commit left buffered.
-                if self._failed is None:
-                    raise
-
-    def _append(self, record: dict[str, Any]) -> None:
-        self._commit([_JSON.encode(record) + "\n"])
-
-    def _commit(self, lines: list[str]) -> None:
-        """Write, flush and fsync *lines*; fail stop on any error.
-
-        After a failed fsync a later one can succeed although the dirty
-        pages were lost, so the journal refuses every write after the
-        first failure instead of retrying.
-        """
-        if self._failed is not None:
-            raise DecisionJournalError(
-                f"{self.path}: decision log failed earlier ({self._failed}); "
-                "refusing to write"
-            )
-        data = "".join(lines)
-        try:
-            self._fh.write(data)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as exc:
-            self._failed = exc
-            raise DecisionJournalError(
-                f"{self.path}: decision log commit failed: {exc}"
-            ) from exc
-        self._hasher.update(data.encode("utf-8"))
-        self._records += len(lines)
+        self._log.close()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 All generators take explicit seeds/Generators (reproducible by default) and
 return validated :class:`~repro.model.instance.Instance` objects whose jobs
-respect the declared slack.
+respect the declared slack.  The sweep-execution names (execution policy,
+sharding, journal, transport, lease loop) are re-exported on first use
+(PEP 562), so importing a generator does not load the sweep stack.
 """
+
+import importlib
 
 from repro.workloads.random_instances import (
     ProcessingDistribution,
@@ -21,61 +25,87 @@ from repro.workloads.structured import (
 )
 from repro.workloads.sweep import SweepSpec, SweepRow, cell_seed_for
 from repro.workloads.arrivals import batch_arrival_instance, mmpp_instance
-from repro.workloads.execute import ExecutionPolicy, execute_sweep
-from repro.workloads.sharding import (
-    MergeConflict,
-    MergeResult,
-    ShardJournalInfo,
-    ShardPlan,
-    merge_journals,
-    shard_journal_paths,
-)
-from repro.workloads.journal import (
-    CorruptionEvent,
-    CorruptionReport,
-    JournalError,
-    JournalIntegrityError,
-    JournalMismatchError,
-    JournalVerification,
-    SweepJournal,
-    load_journal,
-    salvage_journal,
-    verify_journal,
-)
-from repro.workloads.transport import (
-    CollectResult,
-    CommandTransport,
-    LocalDirTransport,
-    Transport,
-    TransferPolicy,
-    TransferRecord,
-    TransferTimeout,
-    TransportError,
-    collect_journals,
-    fetch_resumable,
-)
-from repro.workloads.resilient import (
-    CellFailure,
-    FailureManifest,
-    HostFailure,
-    ResilientSweepResult,
-    SweepExecutionError,
-    SweepInterrupted,
-    WorkerFailure,
-)
-from repro.workloads.elastic import CellQueue, Lease, SpeculationMismatch
-from repro.workloads.remote import (
-    HostLink,
-    HostSpec,
-    env_fingerprint,
-    load_hosts,
-)
 from repro.workloads.traces import (
     instance_from_csv,
     instance_to_csv,
     load_trace,
     save_trace,
 )
+
+#: Sweep-execution name -> the module it is re-exported from.
+_LAZY = {
+    **dict.fromkeys(("ExecutionPolicy", "execute_sweep"), "repro.workloads.execute"),
+    **dict.fromkeys(
+        (
+            "MergeConflict",
+            "MergeResult",
+            "ShardJournalInfo",
+            "ShardPlan",
+            "merge_journals",
+            "shard_journal_paths",
+        ),
+        "repro.workloads.sharding",
+    ),
+    **dict.fromkeys(
+        (
+            "CorruptionEvent",
+            "CorruptionReport",
+            "JournalError",
+            "JournalIntegrityError",
+            "JournalMismatchError",
+            "JournalVerification",
+            "SweepJournal",
+            "load_journal",
+            "salvage_journal",
+            "verify_journal",
+        ),
+        "repro.workloads.journal",
+    ),
+    **dict.fromkeys(
+        (
+            "CollectResult",
+            "CommandTransport",
+            "LocalDirTransport",
+            "Transport",
+            "TransferPolicy",
+            "TransferRecord",
+            "TransferTimeout",
+            "TransportError",
+            "collect_journals",
+            "fetch_resumable",
+        ),
+        "repro.workloads.transport",
+    ),
+    **dict.fromkeys(
+        (
+            "CellFailure",
+            "FailureManifest",
+            "HostFailure",
+            "ResilientSweepResult",
+            "SweepExecutionError",
+            "SweepInterrupted",
+            "WorkerFailure",
+        ),
+        "repro.workloads.resilient",
+    ),
+    **dict.fromkeys(
+        ("CellQueue", "Lease", "SpeculationMismatch"), "repro.workloads.elastic"
+    ),
+    **dict.fromkeys(
+        ("HostLink", "HostSpec", "env_fingerprint", "load_hosts"),
+        "repro.workloads.remote",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ProcessingDistribution",

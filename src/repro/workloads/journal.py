@@ -15,11 +15,15 @@ Design notes
   pure function of ``(base_seed, epsilon, machines, repetition)``, so the
   seed uniquely identifies a cell across runs and across machines — the
   journal never needs to trust iteration order.
-* **Append-only JSONL.**  One record per line, flushed and fsync'd per
-  cell.  A hard kill can at worst truncate the *final* line; the loader
-  tolerates (and reports) a single trailing partial record, and
-  :meth:`SweepJournal.resume` truncates it away before appending so that
-  repeated kill/resume cycles never glue records onto the fragment.
+* **Append-only JSONL on the sealed log.**  The file itself is a
+  :mod:`repro.utils.sealed_log`: one record per line, each written,
+  flushed and fsync'd as one commit per cell.  A hard kill can at worst
+  truncate the *final* line; the loader tolerates (and reports) a single
+  trailing partial record, and :meth:`SweepJournal.resume` truncates it
+  away before appending so that repeated kill/resume cycles never glue
+  records onto the fragment.  A failed commit fails stop: it raises
+  :class:`JournalError` (``journal commit failed``), every later write
+  refuses, and the journal is left unsealed and resumable.
 * **Fingerprinted header.**  The first line captures a structural
   fingerprint of the :class:`~repro.workloads.sweep.SweepSpec` (grid,
   algorithms, seeds, workload description).  Resuming against a journal
@@ -75,14 +79,19 @@ Design notes
 from __future__ import annotations
 
 import functools
-import hashlib
-import io
 import json
 import os
 import zlib
 from dataclasses import dataclass, field, fields
-from typing import IO, TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any
 
+from repro.utils.sealed_log import (
+    LogReader,
+    LogWriter,
+    fingerprint_diff,
+    fingerprint_sha256,
+    rewrite,
+)
 from repro.workloads.sweep import SweepRow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -145,12 +154,6 @@ def spec_fingerprint(spec: "SweepSpec") -> dict[str, Any]:
     }
 
 
-def fingerprint_sha256(fingerprint: dict[str, Any]) -> str:
-    """Canonical digest of a spec fingerprint (stored inside seals)."""
-    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def row_to_payload(row: SweepRow) -> list[Any]:
     """Serialise one row as a compact field-ordered list (see ROW_FIELDS)."""
     return [getattr(row, name) for name in ROW_FIELDS]
@@ -174,6 +177,45 @@ def row_crc(seed: int, payloads: list[list[Any]]) -> str:
     """
     blob = json.dumps([int(seed), payloads], allow_nan=False, separators=(",", ":"))
     return format(zlib.crc32(blob.encode("utf-8")) & 0xFFFFFFFF, "08x")
+
+
+def header_record(
+    fingerprint: dict[str, Any], label: str | None, shard: tuple[int, int] | None
+) -> dict[str, Any]:
+    """The first line of a journal: format version, label, fingerprint."""
+    header: dict[str, Any] = {
+        "kind": "header",
+        "version": JOURNAL_VERSION,
+        "label": label,
+        "fingerprint": fingerprint,
+    }
+    if shard is not None:
+        header["shard"] = {"index": int(shard[0]), "of": int(shard[1])}
+    return header
+
+
+def cell_record(
+    seed: int,
+    eps: float,
+    m: int,
+    rep: int,
+    rows: list[SweepRow],
+    provenance: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """One completed cell: its rows, their CRC and, optionally, ``prov``."""
+    payloads = [row_to_payload(r) for r in rows]
+    record: dict[str, Any] = {
+        "kind": "cell",
+        "seed": int(seed),
+        "epsilon": float(eps),
+        "machines": int(m),
+        "repetition": int(rep),
+        "rows": payloads,
+        "crc": row_crc(int(seed), payloads),
+    }
+    if provenance is not None:
+        record["prov"] = dict(provenance)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +324,18 @@ class JournalState:
 # ---------------------------------------------------------------------------
 
 
-def _split_lines(data: bytes) -> list[tuple[bytes, int]]:
-    """(raw line, byte offset just past its newline), blank lines dropped."""
-    lines: list[tuple[bytes, int]] = []
-    pos = 0
-    while pos < len(data):
-        newline = data.find(b"\n", pos)
-        end = len(data) if newline == -1 else newline + 1
-        raw = data[pos:end]
-        if raw.strip():
-            lines.append((raw, end))
-        pos = end
-    return lines
-
-
 def _scan_journal(
-    path: str | os.PathLike[str], salvage: bool, collect_lines: bool
-) -> tuple[JournalState, list[bytes]]:
-    """Shared loader core; optionally collects the intact raw lines.
+    reader: LogReader, salvage: bool, kept: list[str] | None = None
+) -> tuple[JournalState, int]:
+    """Shared loader core: one pass of *reader* over a journal.
 
-    ``collect_lines`` gathers the verbatim bytes of every surviving
-    record *except* seals (a rewrite changes the byte stream, so any old
-    seal would be stale) — the input to :func:`salvage_journal`.
+    Returns the state and the number of intact cell records (what a
+    writer continuing the file counts toward its seal).  A *kept* list
+    gathers the lines of every surviving record *except* seals (a
+    rewrite changes the byte stream, so any old seal would be stale) —
+    the input to :func:`salvage_journal`.
     """
+    path = reader.path
     completed: dict[int, list[SweepRow]] = {}
     provenance: dict[int, dict[str, Any]] = {}
     failures: list[dict[str, Any]] = []
@@ -312,44 +343,27 @@ def _scan_journal(
     fingerprint: dict[str, Any] | None = None
     label: str | None = None
     shard = (0, 1)
-    truncated = False
-    valid_bytes = 0
     integrity_by_seed: dict[int, str] = {}
-    report = CorruptionReport(path=os.fspath(path))
-    kept: list[bytes] = []
-    hasher = hashlib.sha256()
+    report = CorruptionReport(path=path)
     last_seal: dict[str, Any] | None = None
     last_seal_index: int | None = None
-    cells_seen = 0
-
-    with open(path, "rb") as fh:
-        data = fh.read()
-    lines = _split_lines(data)
+    cells = 0
 
     def _quarantine(i: int, kind: str, detail: str, seed: int | None = None) -> None:
         if not salvage:
             if kind in ("crc-mismatch", "seal-mismatch"):
                 raise JournalIntegrityError(
-                    f"{os.fspath(path)}: {detail} on line {i + 1}; the journal's "
+                    f"{path}: {detail} on line {i + 1}; the journal's "
                     "bytes were altered after writing — re-transfer it, or load "
                     "with salvage to quarantine the damaged records"
                 )
             raise JournalError(f"{path}: corrupt journal record on line {i + 1}")
         report.events.append(CorruptionEvent(line=i + 1, kind=kind, detail=detail, seed=seed))
 
-    for i, (raw, end) in enumerate(lines):
+    for i, raw, record in reader:
         keep_line = False
-        try:
-            record = json.loads(raw.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise JournalError("record is not a JSON object")
-        except (json.JSONDecodeError, UnicodeDecodeError, JournalError) as exc:
-            if i == len(lines) - 1:
-                truncated = True  # hard kill mid-append; cell simply re-runs
-                break
-            _quarantine(i, "unparsable", f"undecodable record: {exc}")
-            hasher.update(raw)
-            valid_bytes = end
+        if record is None:
+            _quarantine(i, "unparsable", f"undecodable record: {reader.error}")
             continue
         kind = record.get("kind")
         if kind == "header":
@@ -379,7 +393,6 @@ def _scan_journal(
                     else None,
                 )
             else:
-                cells_seen += 1
                 crc = record.get("crc")
                 if crc is None:
                     completed[seed] = rows
@@ -397,6 +410,8 @@ def _scan_journal(
                         f"{crc!r} != computed {row_crc(seed, payloads)!r}",
                         seed=seed,
                     )
+                if keep_line:
+                    cells += 1
                 if seed in completed and isinstance(record.get("prov"), dict):
                     provenance[seed] = record["prov"]
         elif kind == "failure":
@@ -410,7 +425,7 @@ def _scan_journal(
             keep_line = True
         elif kind == "seal":
             problems = []
-            if record.get("stream_sha256") != hasher.hexdigest():
+            if record.get("stream_sha256") != reader.hasher.hexdigest():
                 problems.append("stream hash mismatch")
             if record.get("records") != i:
                 problems.append(
@@ -435,13 +450,12 @@ def _scan_journal(
                     f"{path}: unknown journal record kind {kind!r}"
                 )
             _quarantine(i, "unknown-kind", f"unknown journal record kind {kind!r}")
-        hasher.update(raw)
-        valid_bytes = end
-        if keep_line and collect_lines:
-            kept.append(raw if raw.endswith(b"\n") else raw + b"\n")
+        if keep_line and kept is not None:
+            line = raw.decode("utf-8")
+            kept.append(line if line.endswith("\n") else line + "\n")
     if fingerprint is None:
         raise JournalError(f"{path}: journal has no header record")
-    sealed = last_seal is not None and last_seal_index == len(lines) - 1 and not truncated
+    sealed = last_seal is not None and last_seal_index == len(reader.lines) - 1
     if report.events:
         integrity = INTEGRITY_SALVAGED
     elif sealed and all(
@@ -457,8 +471,8 @@ def _scan_journal(
         failures=failures,
         shard=shard,
         stats=stats,
-        truncated_tail=truncated,
-        valid_bytes=valid_bytes,
+        truncated_tail=reader.truncated_tail,
+        valid_bytes=reader.valid_bytes,
         label=label,
         integrity=integrity,
         sealed=sealed,
@@ -466,7 +480,7 @@ def _scan_journal(
         integrity_by_seed=integrity_by_seed,
         corruption=report,
     )
-    return state, kept
+    return state, cells
 
 
 def load_journal(
@@ -481,7 +495,7 @@ def load_journal(
     affected cells simply count as missing so a resumed sweep refills
     them.
     """
-    state, _ = _scan_journal(path, salvage=salvage, collect_lines=False)
+    state, _ = _scan_journal(LogReader(path), salvage)
     return state
 
 
@@ -567,35 +581,20 @@ def verify_journal(path: str | os.PathLike[str]) -> JournalVerification:
     )
 
 
-def _write_sealed_lines(
-    dest: str | os.PathLike[str],
-    raw_lines: list[bytes],
-    *,
-    fingerprint: dict[str, Any],
-    shard: tuple[int, int] | None,
-    cells: int,
-    salvaged: bool,
-) -> None:
-    """Write raw record lines plus a fresh covering seal, atomically."""
-    dest = os.fspath(dest)
-    hasher = hashlib.sha256()
-    tmp = dest + ".tmp"
-    with open(tmp, "wb") as fh:
-        for raw in raw_lines:
-            fh.write(raw)
-            hasher.update(raw)
-        seal = make_seal(
-            stream_sha256=hasher.hexdigest(),
-            records=len(raw_lines),
-            cells=cells,
-            fingerprint=fingerprint,
-            shard=shard,
-            salvaged=salvaged,
-        )
-        fh.write((json.dumps(seal, allow_nan=False) + "\n").encode("utf-8"))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, dest)
+def _rewrite_salvaged(
+    dest: str | os.PathLike[str], state: JournalState, kept: list[str]
+) -> LogWriter:
+    """Rewrite *kept* lines plus a fresh covering seal to *dest*, atomically."""
+    return rewrite(
+        dest,
+        kept,
+        JournalError,
+        "journal",
+        cells=len(state.completed),
+        fingerprint=state.fingerprint,
+        shard=None if state.shard == (0, 1) else state.shard,
+        salvaged=bool(state.corruption) or state.truncated_tail,
+    )
 
 
 def salvage_journal(
@@ -614,44 +613,11 @@ def salvage_journal(
     all (no readable header) — that is a file for quarantine, not repair.
     """
     src = os.fspath(src)
-    dest = src if dest is None else os.fspath(dest)
-    state, kept = _scan_journal(src, salvage=True, collect_lines=True)
-    cells = sum(1 for _ in state.completed)
-    shard = None if state.shard == (0, 1) else state.shard
-    _write_sealed_lines(
-        dest,
-        kept,
-        fingerprint=state.fingerprint,
-        shard=shard,
-        cells=cells,
-        salvaged=bool(state.corruption) or state.truncated_tail,
-    )
+    kept: list[str] = []
+    state, _ = _scan_journal(LogReader(src), salvage=True, kept=kept)
+    _rewrite_salvaged(src if dest is None else dest, state, kept).close()
     assert state.corruption is not None
     return state, state.corruption
-
-
-def make_seal(
-    *,
-    stream_sha256: str,
-    records: int,
-    cells: int,
-    fingerprint: dict[str, Any],
-    shard: tuple[int, int] | None = None,
-    salvaged: bool = False,
-) -> dict[str, Any]:
-    """Build a seal record covering *records* preceding lines."""
-    seal: dict[str, Any] = {
-        "kind": "seal",
-        "algo": "sha256",
-        "stream_sha256": stream_sha256,
-        "records": int(records),
-        "cells": int(cells),
-        "fingerprint_sha256": fingerprint_sha256(fingerprint),
-        "salvaged": bool(salvaged),
-    }
-    if shard is not None:
-        seal["shard"] = {"index": int(shard[0]), "of": int(shard[1])}
-    return seal
 
 
 # ---------------------------------------------------------------------------
@@ -664,43 +630,26 @@ class SweepJournal:
 
     Use :meth:`create` for a fresh journal or :meth:`resume` to reopen an
     existing one (validating its fingerprint and recovering completed
-    cells).  Records are flushed and fsync'd per append so that completed
-    work survives a hard kill.  The writer keeps a running SHA-256 over
-    everything it has written so :meth:`record_seal` can close a run with
-    a verifiable seal.
+    cells).  Each record is one commit on the underlying
+    :class:`~repro.utils.sealed_log.LogWriter`, so completed work survives
+    a hard kill, and a failed commit raises :class:`JournalError` and
+    refuses every later write.  :meth:`record_seal` closes a run with a
+    verifiable seal.
     """
 
     def __init__(
         self,
-        path: str,
-        fh: IO[str],
-        *,
-        fingerprint: dict[str, Any] | None = None,
+        log: LogWriter,
+        fingerprint: dict[str, Any],
         shard: tuple[int, int] | None = None,
+        cells: int = 0,
     ) -> None:
-        self.path = path
-        self._fh = fh
-        self._fingerprint = fingerprint or {}
+        self._log = log
+        self.path = log.path
+        self._fingerprint = fingerprint
         self._shard = shard
-        self._hasher = hashlib.sha256()
-        self._records = 0
-        self._cells = 0
-
-    def _prime_from_disk(self) -> None:
-        """Re-establish the running hash/counters from the file's bytes."""
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        self._hasher = hashlib.sha256()
-        self._records = 0
-        self._cells = 0
-        for raw, _ in _split_lines(data):
-            self._hasher.update(raw)
-            self._records += 1
-            try:
-                if json.loads(raw.decode("utf-8")).get("kind") == "cell":
-                    self._cells += 1
-            except (json.JSONDecodeError, UnicodeDecodeError, AttributeError):
-                pass  # salvage-mode leftovers; counted as records only
+        #: Cell records in the file (the seal's ``cells``).
+        self._cells = cells
 
     # -- lifecycle -----------------------------------------------------
 
@@ -721,27 +670,16 @@ class SweepJournal:
         ``shard=(shard_index, n_shards)`` stamps a shard-scoped journal so
         that resume and merge can verify which slice of the grid it holds.
         """
-        try:
-            fh = open(path, "x", encoding="utf-8")
-        except FileExistsError:
-            if os.path.getsize(path) > 0:
-                raise JournalError(
-                    f"{os.fspath(path)}: journal already exists; resume from it "
-                    "(repro sweep --resume) or delete it explicitly to start over"
-                ) from None
-            fh = open(path, "w", encoding="utf-8")
         fingerprint = spec_fingerprint(spec)
-        journal = cls(os.fspath(path), fh, fingerprint=fingerprint, shard=shard)
-        header = {
-            "kind": "header",
-            "version": JOURNAL_VERSION,
-            "label": spec.label,
-            "fingerprint": fingerprint,
-        }
-        if shard is not None:
-            header["shard"] = {"index": int(shard[0]), "of": int(shard[1])}
-        journal._append(header)
-        return journal
+        log = LogWriter.create(
+            path,
+            header_record(fingerprint, spec.label, shard),
+            JournalError,
+            "journal",
+            "resume from it (repro sweep --resume) or delete it explicitly to "
+            "start over",
+        )
+        return cls(log, fingerprint, shard)
 
     @classmethod
     def resume(
@@ -771,47 +709,38 @@ class SweepJournal:
         failed transfers) is repaired first — intact records are kept
         byte-for-byte, corrupt ones quarantined (their cells re-run) —
         instead of raising :class:`JournalIntegrityError`.
+
+        The file is read once: the writer continues the load's stream
+        hash and record count.
         """
-        state = load_journal(path, salvage=salvage)
+        reader = LogReader(path)
+        kept: list[str] | None = [] if salvage else None
+        state, cells = _scan_journal(reader, salvage, kept)
         current = spec_fingerprint(spec)
         if state.fingerprint != current:
-            diffs = [
-                key
-                for key in sorted(set(state.fingerprint) | set(current))
-                if state.fingerprint.get(key) != current.get(key)
-            ]
             raise JournalMismatchError(
-                f"{os.fspath(path)}: journal was written for a different sweep "
-                f"spec (mismatched fields: {', '.join(diffs)})"
+                f"{reader.path}: journal was written for a different sweep "
+                f"spec (mismatched fields: {fingerprint_diff(state.fingerprint, current)})"
             )
         wanted = (0, 1) if shard is None else (int(shard[0]), int(shard[1]))
         if state.shard != wanted:
             raise JournalError(
-                f"{os.fspath(path)}: journal is stamped shard_index={state.shard[0]} "
+                f"{reader.path}: journal is stamped shard_index={state.shard[0]} "
                 f"of n_shards={state.shard[1]}, but this run requests "
                 f"shard_index={wanted[0]} of n_shards={wanted[1]}; resume a shard "
                 "journal with the same --shards/--shard-index it was written with"
             )
-        if salvage and state.corruption:
+        if kept is not None and state.corruption:
             # Rewrite the journal clean (atomic) before appending: corrupt
             # lines must not stay behind to poison every later strict load.
-            salvage_journal(path)
-        elif state.truncated_tail:
-            with open(path, "r+b") as trunc:
-                trunc.truncate(state.valid_bytes)
-        fh = open(path, "a", encoding="utf-8")
-        journal = cls(
-            os.fspath(path),
-            fh,
-            fingerprint=state.fingerprint,
-            shard=None if state.shard == (0, 1) else state.shard,
-        )
-        journal._prime_from_disk()
-        return journal, state
+            log = _rewrite_salvaged(reader.path, state, kept)
+        else:
+            log = LogWriter.reopen(reader, JournalError, "journal")
+        shard_stamp = None if state.shard == (0, 1) else state.shard
+        return cls(log, state.fingerprint, shard_stamp, cells), state
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        self._log.close()
 
     def __enter__(self) -> "SweepJournal":
         return self
@@ -836,19 +765,8 @@ class SweepJournal:
         heartbeat count, lease duration, speculative flag) outside the row
         CRC — it describes how the cell ran, never what it produced.
         """
-        payloads = [row_to_payload(r) for r in rows]
-        record: dict[str, Any] = {
-            "kind": "cell",
-            "seed": int(seed),
-            "epsilon": float(eps),
-            "machines": int(m),
-            "repetition": int(rep),
-            "rows": payloads,
-            "crc": row_crc(int(seed), payloads),
-        }
-        if provenance is not None:
-            record["prov"] = dict(provenance)
-        self._append(record)
+        self._log.append(cell_record(seed, eps, m, rep, rows, provenance))
+        self._cells += 1
 
     def record_failure(self, failure: dict[str, Any]) -> None:
         """Log a quarantined cell (observability; re-run on resume).
@@ -857,7 +775,7 @@ class SweepJournal:
         ``"kind"`` (crash/timeout/error/corrupt), which must not collide
         with the record-level ``"kind"`` the loader dispatches on.
         """
-        self._append({"kind": "failure", "failure": dict(failure)})
+        self._log.append({"kind": "failure", "failure": dict(failure)})
 
     def record_stats(self, stats: dict[str, Any]) -> None:
         """Append a run-stats trailer (wall clock, counters, cache stats).
@@ -866,7 +784,7 @@ class SweepJournal:
         per journal, so cumulative per-shard timing survives any number of
         interruptions.
         """
-        self._append({"kind": "stats", **stats})
+        self._log.append({"kind": "stats", **stats})
 
     def record_seal(self, *, salvaged: bool = False) -> None:
         """Close the run with a seal covering every line written so far.
@@ -875,26 +793,7 @@ class SweepJournal:
         appended later simply leave it unsealed until the next clean exit
         seals it again, earlier seals included in the new stream hash).
         """
-        self._append(
-            make_seal(
-                stream_sha256=self._hasher.hexdigest(),
-                records=self._records,
-                cells=self._cells,
-                fingerprint=self._fingerprint,
-                shard=self._shard,
-                salvaged=salvaged,
-            )
+        self._log.seal(
+            cells=self._cells, fingerprint=self._fingerprint, shard=self._shard,
+            salvaged=salvaged,
         )
-
-    def _append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, allow_nan=False) + "\n"
-        self._fh.write(line)
-        self._fh.flush()
-        self._hasher.update(line.encode("utf-8"))
-        self._records += 1
-        if record.get("kind") == "cell":
-            self._cells += 1
-        try:
-            os.fsync(self._fh.fileno())
-        except (OSError, ValueError, io.UnsupportedOperation):  # pragma: no cover
-            pass  # non-seekable/mock sinks: flush is the best we can do

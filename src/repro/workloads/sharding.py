@@ -38,25 +38,23 @@ shard outputs a loud, early error instead of a silently wrong plot.
 from __future__ import annotations
 
 import heapq
-import json
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.offline.cache import CacheStats
+from repro.utils.sealed_log import fingerprint_diff, record_line, rewrite
 from repro.workloads.journal import (
     INTEGRITY_UNKNOWN,
     INTEGRITY_VERIFIED,
-    JOURNAL_VERSION,
     CorruptionReport,
     JournalError,
     JournalIntegrityError,
     JournalMismatchError,
     JournalState,
-    _write_sealed_lines,
+    cell_record,
+    header_record,
     load_journal,
-    row_crc,
-    row_to_payload,
     spec_fingerprint,
 )
 from repro.workloads.resilient import CellFailure, FailureManifest
@@ -461,15 +459,10 @@ def merge_journals(
         )
     for path, state in states[1:]:
         if state.fingerprint != fingerprint:
-            diffs = [
-                key
-                for key in sorted(set(state.fingerprint) | set(fingerprint))
-                if state.fingerprint.get(key) != fingerprint.get(key)
-            ]
             raise JournalMismatchError(
                 f"{path}: journal fingerprint does not match {first_path} "
-                f"(mismatched fields: {', '.join(diffs)}) — these journals "
-                "belong to different sweeps and must not be merged"
+                f"(mismatched fields: {fingerprint_diff(state.fingerprint, fingerprint)})"
+                " — these journals belong to different sweeps and must not be merged"
             )
 
     expected = fingerprint_cells(fingerprint)
@@ -637,32 +630,14 @@ def _write_merged_journal(
             f"{os.fspath(out)}: merge output already exists; delete it "
             "explicitly to re-merge"
         )
-    records: list[dict[str, Any]] = [
-        {
-            "kind": "header",
-            "version": JOURNAL_VERSION,
-            "label": "merged",
-            "fingerprint": result.fingerprint,
-        }
-    ]
+    records: list[dict[str, Any]] = [header_record(result.fingerprint, "merged", None)]
     cell_count = 0
     for eps, m, rep in fingerprint_cells(result.fingerprint):
         seed = fingerprint_cell_seed(result.fingerprint, (eps, m, rep))
         if seed not in completed:
             continue
-        payloads = [row_to_payload(r) for r in completed[seed]]
         cell_count += 1
-        records.append(
-            {
-                "kind": "cell",
-                "seed": int(seed),
-                "epsilon": float(eps),
-                "machines": int(m),
-                "repetition": int(rep),
-                "rows": payloads,
-                "crc": row_crc(int(seed), payloads),
-            }
-        )
+        records.append(cell_record(seed, eps, m, rep, completed[seed]))
     for failure in result.manifest.failures:
         records.append({"kind": "failure", "failure": failure.as_dict()})
     walls = [s.wall_seconds for s in result.shards if s.wall_seconds is not None]
@@ -692,20 +667,17 @@ def _write_merged_journal(
             "worker_wall_seconds": worker_walls or None,
         }
     )
-    raw_lines = [
-        (json.dumps(record, allow_nan=False) + "\n").encode("utf-8")
-        for record in records
-    ]
     # Seal the merged journal like any clean shard exit would: downstream
     # verification and re-merges treat it exactly like a shard journal.
-    _write_sealed_lines(
+    rewrite(
         out,
-        raw_lines,
-        fingerprint=result.fingerprint,
-        shard=None,
+        map(record_line, records),
+        JournalError,
+        "journal",
         cells=cell_count,
+        fingerprint=result.fingerprint,
         salvaged=bool(result.corruption) or bool(result.conflicts),
-    )
+    ).close()
     return os.fspath(out)
 
 

@@ -5,6 +5,10 @@ max-flow, Brent and LP solvers.  The guard tests block both with a
 meta-path finder in a fresh interpreter and drive the package through
 its entry points.  The finder reports every import attempt on stderr,
 so an attempt the program catches fails the test too.
+
+The package's own stack loads on demand: ``import repro`` loads no
+subpackage, ``repro bound`` no sweep module, and a server start none of
+the sweep, adversary or analysis modules.
 """
 
 import csv
@@ -119,3 +123,50 @@ def test_serve_starts_without_scipy_or_networkx(tmp_path):
     assert json.loads(first_line)["kind"] == "listening", err
     assert proc.returncode == 0, err
     assert _BLOCKED not in err
+
+
+#: Printed last by a probe script: the ``repro`` modules it has loaded.
+_LOADED = "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))\n"
+
+
+def _loaded(script: str, cwd=None) -> list[str]:
+    proc = _run("-c", "import json, sys\n" + script + _LOADED, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _inside(modules: list[str], *packages: str) -> list[str]:
+    return [m for m in modules if m in packages or m.startswith(tuple(p + "." for p in packages))]
+
+
+def test_import_repro_loads_no_subpackage():
+    loaded = _loaded("import repro")
+    assert _inside(loaded, "repro.workloads", "repro.serve", "repro.adversary",
+                   "repro.analysis") == []
+
+
+def test_bound_loads_no_workloads_module():
+    loaded = _loaded(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['bound', '--m', '3', '--eps', '0.2']) == 0\n"
+    )
+    assert _inside(loaded, "repro.workloads") == []
+
+
+def test_server_start_loads_no_sweep_stack(tmp_path):
+    loaded = _loaded(
+        "import asyncio\n"
+        "import repro.cli\n"
+        "from repro.serve.server import AdmissionServer, ServeConfig\n"
+        "async def start_and_stop():\n"
+        "    server = AdmissionServer(ServeConfig(decision_log='log.jsonl'))\n"
+        "    await server.start()\n"
+        "    server.request_shutdown()\n"
+        "    await server.serve_until_shutdown()\n"
+        "asyncio.run(start_and_stop())\n",
+        cwd=tmp_path,
+    )
+    assert "repro.serve.snapshotter" in loaded
+    assert _inside(loaded, "repro.workloads", "repro.adversary", "repro.analysis") == []

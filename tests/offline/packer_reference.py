@@ -8,6 +8,14 @@ arrays: it built every idle gap in the job's window as an
 ``MachineState.free_intervals`` went with it and lives on here, on a
 subclass.  All four are kept verbatim, so :func:`best_offline_schedule`
 reproduces that packer bit for bit.
+
+One difference is intended.  The gap list skips a commitment that ends
+within ``TIME_EPS`` of the cursor even when it starts at the cursor, so
+on jobs no longer than ``TIME_EPS`` it can offer a start that
+``MachineState.commit`` refuses as an overlap, and this packer raises
+``ValueError``.  ``MachineState.earliest_feasible_start`` moves its
+cursor past such a commitment instead, so the packer completes there;
+wherever this reference completes, the two agree bit for bit.
 """
 
 from __future__ import annotations

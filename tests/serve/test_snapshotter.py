@@ -21,6 +21,7 @@ from repro.serve.snapshotter import (
     service_fingerprint,
     verify_decision_log,
 )
+from repro.utils.sealed_log import LogWriter
 from repro.workloads.arrivals import mmpp_instance
 from repro.workloads.random_instances import random_instance
 
@@ -155,7 +156,10 @@ class TestFailStop:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_a_full_disk_fails_the_commit_and_every_later_write(self):
         service = service_fingerprint("threshold", 2, 0.4)
-        journal = DecisionJournal("/dev/full", open("/dev/full", "w"), service)
+        log = LogWriter(
+            "/dev/full", open("/dev/full", "wb"), DecisionJournalError, "decision log"
+        )
+        journal = DecisionJournal(log, service)
         with pytest.raises(DecisionJournalError, match="commit failed.*No space"):
             journal.seal()
         with pytest.raises(DecisionJournalError, match="failed earlier"):

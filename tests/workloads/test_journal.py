@@ -1,6 +1,8 @@
 """Tests for the append-only sweep checkpoint journal."""
 
+import errno
 import json
+import os
 import shutil
 from functools import partial
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.testing import bitflip
+from repro.utils.sealed_log import LogWriter
 from repro.workloads.journal import (
     JournalError,
     JournalMismatchError,
@@ -217,12 +220,17 @@ def _sealed_journal(tmp_path, name="sweep.jsonl"):
 
 
 def _flip_rows_payload(path, line_index=1, seed=0):
-    """Bit-flip inside the ``rows`` payload of one cell line; its seed."""
+    """Bit-flip inside the ``rows`` payload of one cell line; its seed.
+
+    The range ends at the ``"crc"`` key: a flip in the key, the checksum
+    or the ``prov`` after it can leave the cell intact.
+    """
     lines = path.read_bytes().split(b"\n")
     offset = sum(len(l) + 1 for l in lines[:line_index])
     target = lines[line_index]
     rows_at = target.find(b'"rows"') + len(b'"rows"')
-    bitflip(path, seed=seed, count=1, lo=offset + rows_at, hi=offset + len(target) - 20)
+    crc_at = target.find(b'"crc"')
+    bitflip(path, seed=seed, count=1, lo=offset + rows_at, hi=offset + crc_at)
     return json.loads(target)["seed"]
 
 
@@ -346,6 +354,62 @@ class TestIntegrity:
     def test_salvage_policy_requires_resume(self):
         with pytest.raises(ValueError, match="salvage"):
             ExecutionPolicy(journal="x.jsonl", salvage=True)
+
+
+class TestFailStop:
+    """A failed commit raises, writes nothing more and leaves the journal
+    unsealed and resumable."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_disk_fails_the_commit_and_every_later_write(self):
+        log = LogWriter("/dev/full", open("/dev/full", "wb"), JournalError, "journal")
+        journal = SweepJournal(log, spec_fingerprint(_spec()))
+        with pytest.raises(JournalError, match="journal commit failed.*No space"):
+            journal.record_stats({"wall_seconds": 0.0})
+        with pytest.raises(JournalError, match="failed earlier"):
+            journal.record_seal()
+        journal.close()  # re-flushing the failed bytes fails again, quietly
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_repro_sweep_on_a_full_disk_is_a_journal_error(self, capsys):
+        from repro.cli import main
+
+        argv = ["sweep", "--epsilons", "0.3", "--machines", "1", "--algorithms",
+                "greedy", "--n", "6", "--repetitions", "2", "--no-cache",
+                "--journal", "/dev/full"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /dev/full: journal commit failed: ")
+        assert "No space" in err and "Traceback" not in err
+
+    def test_a_failed_fsync_stops_the_lease_loop_and_resume_completes_it(
+        self, tmp_path, monkeypatch
+    ):
+        spec = _spec(algorithms=["greedy", "threshold"], repetitions=6)
+        path = tmp_path / "sweep.jsonl"
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def fsync(fd):  # the header and two cells reach the disk
+            fsyncs.append(fd)
+            if len(fsyncs) > 3:
+                raise OSError(errno.EIO, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(JournalError, match="journal commit failed"):
+            execute_sweep(spec, ExecutionPolicy(workers=1, journal=path))
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        verdict = verify_journal(path)
+        assert (verdict.status, verdict.cells) == ("unsealed", 3)
+        assert verdict.state.stats == []  # no trailer after the failure
+        resumed = execute_sweep(
+            spec, ExecutionPolicy(workers=1, journal=path, resume=True)
+        )
+        assert resumed.manifest.cells_replayed == 3
+        assert resumed.manifest.cells_completed == 3
+        assert resumed.rows == execute_sweep(spec).rows
+        assert verify_journal(path).ok
 
 
 #: Interrupted journals written by the two schedulers the lease loop

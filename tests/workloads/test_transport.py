@@ -54,11 +54,16 @@ def _sealed_journal(tmp_path, name="shard.jsonl"):
 
 
 def _flip_rows_payload(path):
-    """Bit-flip inside the ``rows`` payload of the first cell line."""
+    """Bit-flip inside the ``rows`` payload of the first cell line.
+
+    The range ends at the ``"crc"`` key: a flip in the key, the checksum
+    or the ``prov`` after it can leave the cell intact.
+    """
     lines = Path(path).read_bytes().split(b"\n")
     offset = len(lines[0]) + 1
     rows_at = lines[1].find(b'"rows"') + len(b'"rows"')
-    bitflip(path, seed=0, count=1, lo=offset + rows_at, hi=offset + len(lines[1]) - 20)
+    crc_at = lines[1].find(b'"crc"')
+    bitflip(path, seed=0, count=1, lo=offset + rows_at, hi=offset + crc_at)
     return json.loads(lines[1])["seed"]
 
 
