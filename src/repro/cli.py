@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -159,8 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         inst = alternating_instance(max(1, args.n // (2 * args.m)), args.m, args.eps)
     result = run_simulation(
-        SimulationRequest(args.algorithm, inst, record_events=args.events),
-        backend=args.backend,
+        SimulationRequest(args.algorithm, inst, record_events=args.events)
     )
     meta = getattr(result.detail, "meta", None)
     used = meta.get("backend", "scalar") if meta is not None else "scalar"
@@ -172,7 +172,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = sys.stderr if args.json else sys.stdout
     print(f"instance       : {inst.name} (n={len(inst)}, m={args.m}, eps={args.eps})",
           file=out)
-    print(f"backend        : {used} (requested: {args.backend})", file=out)
+    print(f"backend        : {used}", file=out)
     print(f"accepted load  : {result.accepted_load:.6f}", file=out)
     print(f"accepted jobs  : {result.accepted_count}/{len(inst)}", file=out)
     if stats is None:
@@ -207,7 +207,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "machines": args.m,
             "epsilon": args.eps,
             "backend": used,
-            "backend_requested": args.backend,
             "accepted_load": result.accepted_load,
             "accepted_jobs": result.accepted_count,
             "stats": stats_dict,
@@ -378,7 +377,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_rows
     from repro.offline.cache import BracketCache
     from repro.workloads.cloud import cloud_instance
-    from repro.workloads.execute import ExecutionPolicy, execute_sweep
+    from repro.workloads.execute import ExecutionPolicy, default_workers, execute_sweep
     from repro.workloads.journal import JournalError, JournalMismatchError
     from repro.workloads.random_instances import random_instance
     from repro.workloads.resilient import (
@@ -438,40 +437,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.shards > 1 and args.shard_index is None:
-        print(
-            f"error: --shards {args.shards} requires --shard-index "
-            f"(0..{args.shards - 1}) naming the shard this host executes",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shard_index is not None and not 0 <= args.shard_index < args.shards:
-        print(
-            f"error: --shard-index {args.shard_index} out of range "
-            f"[0, {args.shards})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.salvage and args.resume is None:
-        print(
-            "error: --salvage repairs the journal being resumed; pass it "
-            "together with --resume",
-            file=sys.stderr,
-        )
-        return 2
-    journal_path = args.resume or args.journal
-    resilient = (
-        args.parallel > 0
-        or journal_path is not None
-        or args.timeout is not None
-        or args.manifest is not None
-        or args.shards > 1
-        or args.adaptive_reps
-        or args.hosts is not None
-    )
     hosts = None
     if args.hosts is not None:
         from repro.workloads.remote import load_hosts
@@ -481,28 +446,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: --hosts {args.hosts}: {exc}", file=sys.stderr)
             return 2
-    if not resilient:
-        # Serial fast path; still exit gracefully on ^C (no partial rows to
-        # save — run with --journal to make interrupted work resumable).
-        try:
-            result = execute_sweep(
-                spec,
-                ExecutionPolicy(cache=cache, backend=args.backend),
-            )
-        except grid_errors as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except KeyboardInterrupt:
-            print("\ninterrupted: serial sweep discarded; re-run with --journal "
-                  "PATH to checkpoint completed cells", file=sys.stderr)
-            return EXIT_SWEEP_INTERRUPTED
-        _flush(result.rows, f"sweep[{args.workload}]")
-        _cache_summary(result.cache_stats)
-        return 0
-
+    journal_path = args.resume or args.journal
+    # --manifest and --adaptive-reps read or steer the lease loop, so they
+    # imply it even without another multiprocess flag.
+    lease_loop = args.manifest is not None or args.adaptive_reps
     try:
         policy = ExecutionPolicy(
-            workers=args.parallel or min(len(list(spec.cells())), os.cpu_count() or 2),
+            workers=args.parallel
+            or (default_workers(len(list(spec.cells()))) if lease_loop else None),
             timeout=args.timeout,
             retries=args.retries,
             journal=journal_path,
@@ -511,7 +462,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache=cache,
             shards=args.shards,
             shard_index=args.shard_index,
-            backend=args.backend,
             speculate=args.speculate,
             adaptive_reps=args.adaptive_reps,
             heartbeat_interval=args.heartbeat_interval,
@@ -521,7 +471,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             local_fallback=not args.no_local_fallback,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # The policy names its fields; spell them as this command's flags.
+        message = re.sub(
+            r"\b[a-z]+(?:_[a-z]+)+\b", lambda f: "--" + f[0].replace("_", "-"), str(exc)
+        )
+        print(f"error: {message}", file=sys.stderr)
         return 2
     try:
         result = execute_sweep(spec, policy)
@@ -541,6 +495,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return EXIT_SWEEP_INTERRUPTED
+    except KeyboardInterrupt:
+        # The serial path has no partial rows to save.
+        print("\ninterrupted: serial sweep discarded; re-run with --journal "
+              "PATH to checkpoint completed cells", file=sys.stderr)
+        return EXIT_SWEEP_INTERRUPTED
+    if not policy.needs_processes:
+        _flush(result.rows, f"sweep[{args.workload}]")
+        _cache_summary(result.cache_stats)
+        return 0
 
     manifest = result.manifest
     label = f"sweep[{args.workload}]"
@@ -785,11 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", action="store_true", help="record and print the kernel event stream"
     )
     p.add_argument(
-        "--backend", choices=["auto", "scalar", "batch"], default="auto",
-        help="simulation kernel backend (see docs/engine_backends.md); "
-             "batch falls back to scalar with a warning when unsupported",
-    )
-    p.add_argument(
         "--json", action="store_true",
         help="print a machine-readable JSON document on stdout and route "
              "all human-readable lines to stderr",
@@ -923,11 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-index", type=int, default=None,
         help="which shard this host executes (0-based; required with "
              "--shards > 1)",
-    )
-    p.add_argument(
-        "--backend", choices=["auto", "scalar", "batch"], default="auto",
-        help="simulation kernel backend for every cell "
-             "(see docs/engine_backends.md)",
     )
     p.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=True,

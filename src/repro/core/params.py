@@ -54,6 +54,7 @@ the test-suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -364,6 +365,40 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     )
 
 
+def _bracket_root(residual, c_hi: float) -> float | None:
+    """An upper end for the root of the increasing *residual*, or ``None``.
+
+    Doubles *c_hi* until the residual turns non-negative.  For slacks near
+    1/DBL_MAX the chain overflows first; then the search narrows
+    geometrically between the last finite ``c_hi`` and the one that
+    overflowed (or the largest float), until the residual is finite and
+    non-negative.  ``None`` when no float there has such a residual,
+    rather than let NumPy warn and solve on infinities.
+    """
+
+    def checked(c: float) -> float | None:
+        """The residual at *c*, or ``None`` where the chain overflows."""
+        try:
+            return residual(c)
+        except FloatingPointError:
+            return None
+
+    with np.errstate(over="raise"):
+        lo = c_hi
+        while c_hi < math.inf and (r := checked(c_hi)) is not None:
+            if r >= 0.0:
+                return c_hi
+            lo, c_hi = c_hi, c_hi * 2.0
+        hi = min(c_hi, sys.float_info.max)
+        while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
+            r = checked(mid)
+            if r is not None and r >= 0.0:
+                return mid
+            lo, hi = (lo, mid) if r is None else (mid, hi)
+        r = checked(hi)
+        return hi if r is not None and r >= 0.0 else None
+
+
 class BoundFunction:
     """The tight bound :math:`c(\\cdot, m)` for a fixed machine count.
 
@@ -409,20 +444,11 @@ class BoundFunction:
                 # right corner where c_lo is already exact.
                 c_star = c_lo
             else:
-                # Double c_hi until it brackets the root.  For slacks near
-                # 1/DBL_MAX the chain overflows first: refuse the slack
-                # rather than let NumPy warn and solve on infinities.
-                c_hi = max(2.0 * c_lo, 4.0)
-                try:
-                    with np.errstate(over="raise"):
-                        while residual(c_hi) < 0.0:
-                            c_hi *= 2.0
-                            if c_hi == math.inf:
-                                raise FloatingPointError
-                except FloatingPointError:
+                c_hi = _bracket_root(residual, max(2.0 * c_lo, 4.0))
+                if c_hi is None:
                     raise ValueError(
                         f"slack {epsilon!r} is too small: c(eps, {m}) overflows"
-                    ) from None
+                    )
                 c_star = _brentq(residual, c_lo, c_hi, xtol=_C_XTOL, rtol=1e-15)
         f = forward_f_chain(c_star, m, k)
         return ThresholdParameters(m=m, epsilon=epsilon, k=k, c=c_star, f=f)

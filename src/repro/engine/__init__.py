@@ -24,10 +24,11 @@ Every invalid policy decision, in every model, raises the unified
 
 Above the per-model simulators sits the **kernel-backend seam**
 (:mod:`repro.engine.backend`): :func:`~repro.engine.backend.run_simulations`
-dispatches :class:`~repro.engine.backend.SimulationRequest` batches either
-to the scalar golden path above or to the structure-of-arrays NumPy
-kernels of the immediate model (:mod:`repro.engine.batch`), which are
-bit-identical to it — see ``docs/engine_backends.md``;
+dispatches :class:`~repro.engine.backend.SimulationRequest` batches to
+the structure-of-arrays NumPy kernels of the immediate model
+(:mod:`repro.engine.batch`) where a group of compatible requests pays for
+them, and to the scalar golden path above everywhere else; the two are
+bit-identical — see ``docs/engine_backends.md``;
 ``docs/kernel_authoring.md`` explains how to add a kernel that keeps these
 guarantees.  The delayed, admission and penalties models have no batch
 kernel: their scalar engines are the fast path.
@@ -96,8 +97,6 @@ from repro.engine.batch import (
 )
 from repro.engine.backend import (
     BACKEND_CHOICES,
-    BACKENDS,
-    BackendFallbackWarning,
     BatchBackend,
     KernelBackend,
     ScalarBackend,
@@ -155,8 +154,6 @@ __all__ = [
     "run_classify_select_batch",
     "run_random_admission_batch",
     "BACKEND_CHOICES",
-    "BACKENDS",
-    "BackendFallbackWarning",
     "BatchBackend",
     "KernelBackend",
     "ScalarBackend",

@@ -2,16 +2,16 @@
 
 Every simulation in this library can be expressed as a
 :class:`SimulationRequest` (algorithm name + instance + kwargs) and routed
-through :func:`run_simulations`, which dispatches to one of two
-:class:`KernelBackend` implementations:
+through :func:`run_simulations`.  Two :class:`KernelBackend`
+implementations serve them:
 
-``scalar``
-    Today's pure-Python event loop, completely untouched: requests are
-    forwarded one-by-one to :func:`repro.baselines.registry.run_algorithm`
-    and therefore through :func:`repro.engine.kernel.run_model`.  This is
-    the golden reference every other backend is measured against.
+:class:`ScalarBackend`
+    The pure-Python event loop: requests are forwarded one by one to
+    :func:`repro.baselines.registry.run_algorithm` and therefore through
+    :func:`repro.engine.kernel.run_model`.  This is the golden reference
+    every other path is measured against.
 
-``batch``
+:class:`BatchBackend`
     Structure-of-arrays NumPy kernels (:mod:`repro.engine.batch`) for the
     immediate model — including the randomized ``random-admission`` and
     ``classify-select`` via per-lane RNG-stream replay — that step groups
@@ -20,27 +20,23 @@ through :func:`run_simulations`, which dispatches to one of two
     journal rows match the scalar backend exactly (asserted by
     ``tests/engine/test_backends.py``).
 
-``auto``
-    Batch for groups of at least :data:`_AUTO_MIN_GROUP` compatible
-    requests, scalar everywhere else — see ``docs/engine_backends.md``.
+:func:`run_simulations` picks the kernel from its input (``auto``): batch
+for groups of at least :data:`_AUTO_MIN_GROUP` compatible requests,
+scalar everywhere else.  ``backend="scalar"`` forces the reference path
+— see ``docs/engine_backends.md``.
 
 Randomized algorithms carry their RNG seed inside the grouping key, so
 two requests with different seeds can never share a lane row (they would
 silently replay the wrong stream otherwise); live ``numpy.random.Generator``
 objects are scalar-only because their mutable state cannot be replayed.
-
-Unsupported algorithm/backend combinations never fail silently: under
-``backend="batch"`` they fall back to scalar with a
-:class:`BackendFallbackWarning`; under ``auto`` the fallback is the
-expected behaviour and stays quiet.  The delayed, commitment-on-admission
-and penalties models (``delayed-greedy``, ``admission-greedy``,
-``admission-lazy``, ``revocable-greedy``) are among them: each runs as
-one flat loop, which outran the batch kernel it replaced.
+The delayed, commitment-on-admission and penalties models
+(``delayed-greedy``, ``admission-greedy``, ``admission-lazy``,
+``revocable-greedy``) have no batch kernel: each runs as one flat loop,
+which outran the batch kernel it replaced.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -53,8 +49,9 @@ from repro.utils.rng import DEFAULT_SEED
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.baselines.registry import RunResult
 
-#: Valid values for every ``backend=`` argument in this library.
-BACKEND_CHOICES = ("auto", "scalar", "batch")
+#: Valid values for ``run_simulations(backend=...)``: ``auto`` picks the
+#: kernel from the requests, ``scalar`` forces the reference path.
+BACKEND_CHOICES = ("auto", "scalar")
 
 #: Minimum compatible group size for ``auto`` to batch.  The kernels
 #: vectorise *across* lanes, so a single run gains nothing from SoA layout
@@ -75,10 +72,6 @@ def _seed_key(rng: Any) -> int | None:
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return int(rng)
     return None
-
-
-class BackendFallbackWarning(UserWarning):
-    """Emitted when an explicit ``backend="batch"`` request falls back."""
 
 
 @dataclass(frozen=True)
@@ -225,7 +218,7 @@ class BatchBackend(KernelBackend):
                 raise ValueError(
                     f"algorithm {request.algorithm!r} is not supported by the "
                     "batch backend; route through run_simulations() for "
-                    "scalar fallback"
+                    "the scalar path"
                 )
             groups.setdefault(key, []).append(i)
 
@@ -269,38 +262,23 @@ def _chunk_size(machines: int, jobs: int) -> int:
 _SCALAR = ScalarBackend()
 _BATCH = BatchBackend()
 
-#: Singleton backend instances by name (``auto`` is a dispatch policy, not
-#: a backend, and is handled by :func:`run_simulations`).
-BACKENDS: dict[str, KernelBackend] = {"scalar": _SCALAR, "batch": _BATCH}
-
 
 def run_simulations(
     requests: Iterable[SimulationRequest], backend: str = "auto"
 ) -> "list[RunResult]":
-    """Run *requests* through the selected backend; results in order.
+    """Run *requests*; results in request order.
 
-    ``backend="scalar"`` forwards everything to the golden path.
-    ``backend="batch"`` batches every supported request and falls back to
-    scalar for the rest with a loud :class:`BackendFallbackWarning`.
-    ``backend="auto"`` batches exactly where the batch kernel is expected
-    to win (groups of at least ``_AUTO_MIN_GROUP`` compatible requests)
-    and is silent about the rest.
+    ``backend="auto"`` batches every group of at least
+    :data:`_AUTO_MIN_GROUP` compatible requests and runs the rest on the
+    scalar kernel.  ``backend="scalar"`` runs everything on the scalar
+    kernel, the reference the batch kernels are held to.
     """
-    return _dispatch(list(requests), backend)
-
-
-def run_simulation(request: SimulationRequest, backend: str = "auto") -> "RunResult":
-    """Single-request convenience wrapper over :func:`run_simulations`."""
-    return _dispatch([request], backend)[0]
-
-
-def _dispatch(requests: list[SimulationRequest], backend: str) -> "list[RunResult]":
-    """Both entry points' body; the fallback warning names their caller."""
     if backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown backend {backend!r}: expected one of {BACKEND_CHOICES}"
         )
-    if backend == "scalar" or not requests:
+    requests = list(requests)
+    if backend == "scalar":
         return _SCALAR.run_many(requests)
 
     groups: dict[tuple, list[int]] = {}
@@ -311,21 +289,9 @@ def _dispatch(requests: list[SimulationRequest], backend: str) -> "list[RunResul
             scalar_members.append(i)
         else:
             groups.setdefault(key, []).append(i)
-
-    if backend == "batch" and scalar_members:
-        names = sorted({requests[i].algorithm for i in scalar_members})
-        warnings.warn(
-            BackendFallbackWarning(
-                f"{len(scalar_members)} request(s) not supported by the batch "
-                f"backend (algorithms: {', '.join(names)}); falling back to "
-                "the scalar kernel"
-            ),
-            stacklevel=3,  # _dispatch <- the entry point <- its caller
-        )
-    if backend == "auto":
-        for key in list(groups):
-            if len(groups[key]) < _AUTO_MIN_GROUP:
-                scalar_members.extend(groups.pop(key))
+    for key in list(groups):
+        if len(groups[key]) < _AUTO_MIN_GROUP:
+            scalar_members.extend(groups.pop(key))
 
     results: list = [None] * len(requests)
     for key, members in groups.items():
@@ -337,10 +303,13 @@ def _dispatch(requests: list[SimulationRequest], backend: str) -> "list[RunResul
     return results
 
 
+def run_simulation(request: SimulationRequest, backend: str = "auto") -> "RunResult":
+    """Single-request convenience wrapper over :func:`run_simulations`."""
+    return run_simulations([request], backend)[0]
+
+
 __all__ = [
     "BACKEND_CHOICES",
-    "BACKENDS",
-    "BackendFallbackWarning",
     "BatchBackend",
     "KernelBackend",
     "ScalarBackend",

@@ -53,6 +53,9 @@ def opt_bracket(
     by benchmarks that time the bound computations themselves).  A small
     instance whose exact search exceeds
     :data:`~repro.offline.exact.MAX_EXPLORED_STATES` gets the bounds too.
+    An ``exact=True`` bracket is exact to within ``n * TIME_EPS`` on
+    instances whose processing times are a few ``TIME_EPS`` (see
+    :func:`~repro.offline.exact.exact_optimum`).
     """
     if len(instance) <= exact_limit and not force_bounds:
         try:

@@ -217,6 +217,11 @@ class _Solver:
 def exact_optimum(instance: Instance, job_limit: int = EXACT_JOB_LIMIT) -> ExactResult:
     """Exact offline optimum of *instance* (small instances only).
 
+    Exact to within ``n * TIME_EPS`` for ``n`` jobs when processing times
+    are a few ``TIME_EPS``: a state keeps a branch unless another beats it
+    by more than ``TIME_EPS``, so the shortfalls can add up over the
+    levels.  On instances with longer jobs the value is the optimum.
+
     Raises ``ValueError`` when the instance exceeds *job_limit* jobs — use
     :func:`repro.offline.bracket.opt_bracket` for large instances — and
     :class:`ExactSolverBudgetExceeded` when the search outgrows

@@ -246,7 +246,7 @@ def _read_decisions(reader: LogReader) -> DecisionLogState:
                     f"{path}: seal verification failed on line {i + 1}: "
                     + "; ".join(problems)
                 )
-            sealed = i == len(reader.lines) - 1
+            sealed = i == len(reader.lines) - 1 and reader.ends_with_newline
         else:
             raise DecisionJournalError(
                 f"{path}: unknown decision-log record kind {kind!r}"

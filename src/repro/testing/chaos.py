@@ -334,8 +334,11 @@ def truncate_tail(path: str | os.PathLike, nbytes: int = 1) -> int:
     """Chop *nbytes* off the end of a file, simulating a hard kill mid-write.
 
     Models the one corruption an append-only, fsync-per-record journal can
-    suffer: the final record cut off partway.  Returns the new size.
-    Loaders (:func:`repro.workloads.journal.load_journal`, and therefore
+    suffer: the final record cut off.  Returns the new size.  With the
+    default ``nbytes=1`` only the final newline goes: the last record
+    still decodes, but a seal on it no longer counts, so the log reads as
+    unsealed.  Cut deeper and the last record is torn: loaders
+    (:func:`repro.workloads.journal.load_journal`, and therefore
     :func:`repro.workloads.sharding.merge_journals`) must tolerate the
     partial trailing line, report it, and count the damaged cell as
     missing rather than fail.

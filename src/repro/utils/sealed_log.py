@@ -101,6 +101,8 @@ class LogReader:
     write: the pass stops before it and sets :attr:`truncated_tail`.
     After a line has been handled, :attr:`hasher` and :attr:`valid_bytes`
     cover it, so while a line is handled they cover every earlier line.
+    A seal on the last line covers the file only if
+    :attr:`ends_with_newline`: a last line that lost its newline was cut.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -108,6 +110,8 @@ class LogReader:
         with open(self.path, "rb") as fh:
             #: The non-blank lines, each with the offset just past it.
             self.lines = split_lines(fh.read())
+        #: Whether the last line ends with its newline.
+        self.ends_with_newline = not self.lines or self.lines[-1][0].endswith(b"\n")
         self.hasher = hashlib.sha256()
         #: Byte offset of the end of the last handled line.
         self.valid_bytes = 0
@@ -211,7 +215,7 @@ class LogWriter:
             reader.path, open(reader.path, "ab"), error, name,
             hasher=reader.hasher.copy(), records=records,
         )
-        if records and not reader.lines[records - 1][0].endswith(b"\n"):
+        if not (reader.truncated_tail or reader.ends_with_newline):
             log._commit(b"\n", 0)
         return log
 

@@ -52,6 +52,14 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.1
 #: — one delayed scheduler pass must not trigger a spurious revocation.
 LEASE_TIMEOUT_BEATS = 10
 
+#: Adaptive repetitions: reps always executed per config before the CI is
+#: consulted (the bootstrap CI needs at least two samples).
+ADAPTIVE_MIN_REPS = 2
+
+#: Adaptive repetitions: relative CI halfwidth below which the remaining
+#: reps of a config are skipped.
+ADAPTIVE_REL_TOL = 0.01
+
 
 class SpeculationMismatch(RuntimeError):
     """Two executions of the same cell disagreed bit-for-bit.
@@ -389,27 +397,18 @@ class CellQueue:
 class _AdaptiveReps:
     """Issue repetitions lazily; stop once the bootstrap CI is tight.
 
-    Each grid config ``(eps, m)`` starts with ``min_reps`` repetitions.
-    When every issued rep of a config has completed, the bootstrap CI of
-    the mean accepted load is computed per algorithm over the completed
-    reps: if every algorithm's relative halfwidth is within ``rel_tol``
-    the remaining reps are *skipped*; otherwise one more rep is issued
-    (re-queued), up to ``spec.repetitions``.  Skipping only ever drops
-    whole trailing reps, so the executed prefix stays bit-identical to
-    the same reps of an exhaustive run.
+    Each grid config ``(eps, m)`` starts with :data:`ADAPTIVE_MIN_REPS`
+    repetitions.  When every issued rep of a config has completed, the
+    bootstrap CI of the mean accepted load is computed per algorithm over
+    the completed reps: if every algorithm's relative halfwidth is within
+    :data:`ADAPTIVE_REL_TOL` the remaining reps are *skipped*; otherwise
+    one more rep is issued (re-queued), up to ``spec.repetitions``.
+    Skipping only ever drops whole trailing reps, so the executed prefix
+    stays bit-identical to the same reps of an exhaustive run.
     """
 
-    def __init__(
-        self,
-        spec: SweepSpec,
-        cells: list[tuple[float, int, int]],
-        *,
-        min_reps: int,
-        rel_tol: float,
-    ) -> None:
+    def __init__(self, spec: SweepSpec, cells: list[tuple[float, int, int]]) -> None:
         self.spec = spec
-        self.min_reps = min_reps
-        self.rel_tol = rel_tol
         self.reps_by_config: dict[tuple[float, int], list[int]] = {}
         for eps, m, rep in cells:
             self.reps_by_config.setdefault((eps, m), []).append(rep)
@@ -422,7 +421,8 @@ class _AdaptiveReps:
     def initial_cells(
         self, completed: dict[int, list[SweepRow]]
     ) -> list[tuple[float, int, int]]:
-        """First wave: ``min_reps`` reps per config (replays count as done)."""
+        """First wave: :data:`ADAPTIVE_MIN_REPS` reps per config (replays
+        count as done)."""
         initial: list[tuple[float, int, int]] = []
         for (eps, m), reps in self.reps_by_config.items():
             self.issued[(eps, m)] = set()
@@ -433,7 +433,7 @@ class _AdaptiveReps:
                     self.issued[(eps, m)].add(rep)
                     self.done[(eps, m)][rep] = completed[seed]
             for rep in reps:
-                if len(self.issued[(eps, m)]) >= self.min_reps:
+                if len(self.issued[(eps, m)]) >= ADAPTIVE_MIN_REPS:
                     break
                 if rep not in self.issued[(eps, m)]:
                     self.issued[(eps, m)].add(rep)
@@ -475,12 +475,14 @@ class _AdaptiveReps:
                 if ci.halfwidth > 0.0:
                     return False
                 continue
-            if ci.halfwidth / abs(ci.mean) > self.rel_tol:
+            if ci.halfwidth / abs(ci.mean) > ADAPTIVE_REL_TOL:
                 return False
         return True
 
 
 __all__ = [
+    "ADAPTIVE_MIN_REPS",
+    "ADAPTIVE_REL_TOL",
     "CellQueue",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "LEASE_TIMEOUT_BEATS",

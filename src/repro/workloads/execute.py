@@ -44,7 +44,6 @@ import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.backend import BACKEND_CHOICES
 from repro.offline.cache import BracketCache
 from repro.workloads.resilient import (
     FailureManifest,
@@ -70,8 +69,10 @@ class ExecutionPolicy:
     ``hosts``, ``chaos`` or ``interrupt_after`` — routes execution through
     the lease loop (:mod:`repro.workloads.remote`: worker processes,
     heartbeats, retries, quarantine, checkpoint journal).  The scheduling
-    fields below ``backend`` only apply on that path, and
-    ``adaptive_reps`` and ``worker_chaos`` require it.
+    fields from ``speculate`` on only apply on that path, and
+    ``adaptive_reps`` and ``worker_chaos`` require it.  Both paths pick
+    the simulation kernel from the cells they run
+    (:func:`repro.engine.backend.run_simulations`).
     """
 
     #: Local worker process count; ``None`` sizes to the pending cells /
@@ -90,11 +91,8 @@ class ExecutionPolicy:
     #: failed transfers) instead of raising — corrupt records are
     #: quarantined, the file is rewritten clean, and their cells re-run.
     salvage: bool = False
-    #: Bracket cache: a ready :class:`~repro.offline.cache.BracketCache`,
-    #: ``True`` for the default directory, or ``None``/``False`` for off.
-    cache: BracketCache | bool | None = None
-    #: Cache directory (implies caching when set and ``cache`` is unset).
-    cache_dir: str | os.PathLike[str] | None = None
+    #: Bracket cache shared by every cell, or ``None`` for off.
+    cache: BracketCache | None = None
     #: Partition the grid into this many disjoint shards (1 = no sharding).
     shards: int = 1
     #: Which shard this host executes (required when ``shards > 1``).
@@ -106,31 +104,20 @@ class ExecutionPolicy:
     chaos: "ChaosPlan | None" = None
     #: Testing hook: simulate a hard kill after this many new cells.
     interrupt_after: int | None = None
-    #: Kernel backend for the simulations: ``"auto"`` (batch where it
-    #: pays off), ``"scalar"`` (golden reference) or ``"batch"`` (loud
-    #: fallback for unsupported algorithms).  See
-    #: :mod:`repro.engine.backend` and ``docs/engine_backends.md``.
-    backend: str = "auto"
     #: Speculatively re-execute straggler cells once the queue runs dry
     #: (first verified result wins; duplicates are asserted bit-identical).
-    #: Group leases, granted with a batching backend, are never copied.
+    #: A member of a group lease is copied on its own, like any cell.
     speculate: bool = True
     #: Issue repetitions lazily and skip the remainder of a grid config
     #: once the bootstrap CI of every algorithm's mean accepted load is
-    #: tight (see ``adaptive_rel_tol``).
+    #: tight (see :data:`repro.workloads.elastic.ADAPTIVE_REL_TOL`).
     adaptive_reps: bool = False
-    #: Repetitions always executed per config before the CI is consulted.
-    adaptive_min_reps: int = 2
-    #: Relative CI halfwidth below which remaining reps are skipped.
-    adaptive_rel_tol: float = 0.01
     #: Worker heartbeat cadence in seconds.
     heartbeat_interval: float = 0.1
     #: Lease deadline in seconds; a lease whose worker misses heartbeats
     #: for this long is presumed dead and re-dispatched.  ``None`` uses
     #: 10x ``heartbeat_interval``.
     lease_timeout: float | None = None
-    #: Local worker-slot failures tolerated before the slot is quarantined.
-    worker_max_failures: int = 3
     #: Local worker-slot fault-injection plan (tests only).
     worker_chaos: "WorkerChaosPlan | None" = None
     #: Remote execution: a ``hosts.json`` registry path or a tuple of
@@ -143,19 +130,12 @@ class ExecutionPolicy:
     #: Host failures (channel EOF, handshake timeout, protocol garbage)
     #: tolerated per host before the whole host is quarantined.
     host_max_failures: int = 2
-    #: Seconds a freshly started worker has to say ``hello``.
-    handshake_timeout: float = 30.0
     #: When every remote host is quarantined, finish the sweep on local
     #: fallback workers (recorded as ``manifest.degraded_to_local``)
     #: instead of quarantining the remaining cells.
     local_fallback: bool = True
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}: expected one of "
-                f"{BACKEND_CHOICES}"
-            )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.shards > 1 and self.shard_index is None:
@@ -176,8 +156,10 @@ class ExecutionPolicy:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.cache is False and self.cache_dir is not None:
-            raise ValueError("cache=False conflicts with an explicit cache_dir")
+        if self.cache is not None and not isinstance(self.cache, BracketCache):
+            raise ValueError(
+                f"cache must be a BracketCache or None, got {self.cache!r}"
+            )
         if self.heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat_interval must be positive, got {self.heartbeat_interval}"
@@ -187,19 +169,6 @@ class ExecutionPolicy:
                 f"lease_timeout ({self.lease_timeout}) must exceed the "
                 f"heartbeat_interval ({self.heartbeat_interval}) — a lease "
                 "must survive at least one missed beat"
-            )
-        if self.worker_max_failures < 1:
-            raise ValueError(
-                f"worker_max_failures must be >= 1, got {self.worker_max_failures}"
-            )
-        if self.adaptive_min_reps < 2:
-            raise ValueError(
-                "adaptive_min_reps must be >= 2 (the bootstrap CI needs at "
-                f"least two samples), got {self.adaptive_min_reps}"
-            )
-        if self.adaptive_rel_tol <= 0:
-            raise ValueError(
-                f"adaptive_rel_tol must be positive, got {self.adaptive_rel_tol}"
             )
         if not self.needs_processes:
             for name in ("adaptive_reps", "worker_chaos"):
@@ -211,10 +180,6 @@ class ExecutionPolicy:
         if self.host_max_failures < 1:
             raise ValueError(
                 f"host_max_failures must be >= 1, got {self.host_max_failures}"
-            )
-        if self.handshake_timeout <= 0:
-            raise ValueError(
-                f"handshake_timeout must be positive, got {self.handshake_timeout}"
             )
         if self.hosts is None:
             if self.host_chaos is not None:
@@ -247,17 +212,15 @@ class ExecutionPolicy:
             or self.interrupt_after is not None
         )
 
-    def resolve_cache(self) -> BracketCache | None:
-        """Materialise the policy's bracket cache (``None`` = caching off)."""
-        if isinstance(self.cache, BracketCache):
-            return self.cache
-        if self.cache is True or (self.cache is None and self.cache_dir is not None):
-            return BracketCache(self.cache_dir)
-        return None
-
     def with_shard(self, shard_index: int) -> "ExecutionPolicy":
         """Copy of this policy pointed at a different shard index."""
         return replace(self, shard_index=shard_index)
+
+
+def default_workers(cells: int) -> int:
+    """Local worker processes when ``workers`` is unset: one per cell, up
+    to the CPU count."""
+    return min(cells, os.cpu_count() or 2)
 
 
 #: Cells per :func:`repro.workloads.resilient.run_cells` call on the serial
@@ -269,14 +232,13 @@ def _execute_serial(
     spec: SweepSpec,
     algorithm_kwargs: dict[str, dict[str, Any]],
     cache: BracketCache | None,
-    backend: str = "auto",
 ) -> ResilientSweepResult:
     """In-process fast path: no worker processes, no journal, no retries."""
     cells = list(spec.cells())
     rows = []
     for lo in range(0, len(cells), _SERIAL_GROUP):
         group = cells[lo : lo + _SERIAL_GROUP]
-        for cell_rows in run_cells(spec, group, algorithm_kwargs, cache, backend):
+        for cell_rows in run_cells(spec, group, algorithm_kwargs, cache):
             rows.extend(cell_rows)
     manifest = FailureManifest(cells_total=len(cells), cells_completed=len(cells))
     return ResilientSweepResult(
@@ -315,7 +277,7 @@ def execute_sweep(
     algorithm_kwargs = algorithm_kwargs or {}
     check_seed_collisions(spec)
     check_machine_counts(spec)
-    cache = policy.resolve_cache()
+    cache = policy.cache
     if policy.needs_processes:
         from repro.workloads.remote import run_lease_loop
 
@@ -329,7 +291,7 @@ def execute_sweep(
             shard = (policy.shard_index, policy.shards)
         result = run_lease_loop(spec, policy, algorithm_kwargs, cache, cells, shard)
     else:
-        result = _execute_serial(spec, algorithm_kwargs, cache, policy.backend)
+        result = _execute_serial(spec, algorithm_kwargs, cache)
     if policy.strict and result.manifest.failures:
         first = result.manifest.failures[0]
         raise SweepExecutionError(
@@ -341,4 +303,4 @@ def execute_sweep(
     return result
 
 
-__all__ = ["ExecutionPolicy", "execute_sweep"]
+__all__ = ["ExecutionPolicy", "default_workers", "execute_sweep"]

@@ -455,7 +455,9 @@ def _scan_journal(
             kept.append(line if line.endswith("\n") else line + "\n")
     if fingerprint is None:
         raise JournalError(f"{path}: journal has no header record")
-    sealed = last_seal is not None and last_seal_index == len(reader.lines) - 1
+    sealed = (
+        last_seal_index == len(reader.lines) - 1 and reader.ends_with_newline
+    )
     if report.events:
         integrity = INTEGRITY_SALVAGED
     elif sealed and all(

@@ -44,11 +44,12 @@ The moving parts:
   the partition heals the stale result is deduped first-verified-wins
   and asserted bit-identical.  A **slow host** keeps heartbeating and
   keeps its leases.
-* **Group leases** — with a batching backend and no fault injection, one
-  lease carries up to :data:`_GROUP_CELLS` fresh cells (a fair share of
-  the queue) so the batch kernel amortises across them; group leases
-  are not speculated.  A group that fails is demoted to independent
-  per-cell attempts, so retry semantics stay per-cell.
+* **Group leases** — without fault injection, one lease carries up to
+  :data:`_GROUP_CELLS` fresh cells (a fair share of the queue) so the
+  batch kernel amortises across them.  Once the queue runs dry, an idle
+  link copies a straggling member on its own, as it would any cell.  A
+  group that fails is demoted to independent per-cell attempts, so retry
+  semantics stay per-cell.
 * **Graceful degradation** — when every remote host is quarantined the
   sweep finishes on local links (``manifest.degraded_to_local``); with
   ``local_fallback=False`` the remaining cells are quarantined instead
@@ -95,6 +96,7 @@ from repro.offline.cache import BracketCache, CacheStats
 from repro.serve.protocol import encode_line
 from repro.workloads import resilient
 from repro.workloads.elastic import LEASE_TIMEOUT_BEATS, CellQueue, Lease, _AdaptiveReps
+from repro.workloads.execute import default_workers
 from repro.workloads.journal import row_from_payload
 from repro.workloads.resilient import (
     _KILL_GRACE,
@@ -149,9 +151,15 @@ LOCAL_FALLBACK_HOST = "local-fallback"
 #: ``static``, ``elastic`` or ``elastic-remote``).
 SCHEDULER = "lease"
 
-#: Cells per group lease when the backend batches and no fault injection
-#: is active: the batch kernel amortises its setup across them.
+#: Cells per group lease when no fault injection is active: the batch
+#: kernel amortises its setup across them.
 _GROUP_CELLS = 8
+
+#: Seconds a freshly started worker has to say ``hello``.
+HANDSHAKE_TIMEOUT = 30.0
+
+#: Failures a local worker slot survives; one more quarantines it.
+WORKER_MAX_FAILURES = 3
 
 #: Seconds idle links get to exit after ``stop`` before they are killed.
 _STOP_GRACE = 1.0
@@ -583,10 +591,7 @@ class _LeaseLoop:
         self.manifest.cells_replayed = len(self.completed)
         self.adaptive: _AdaptiveReps | None = None
         if policy.adaptive_reps:
-            self.adaptive = _AdaptiveReps(
-                spec, cells, min_reps=policy.adaptive_min_reps,
-                rel_tol=policy.adaptive_rel_tol,
-            )
+            self.adaptive = _AdaptiveReps(spec, cells)
             todo = self.adaptive.initial_cells(self.completed)
         else:
             todo = [cell for cell in cells if spec.cell_seed(*cell) not in self.completed]
@@ -596,20 +601,18 @@ class _LeaseLoop:
             and policy.host_chaos is None
             and policy.interrupt_after is None
         )
-        self.group_size = _GROUP_CELLS if policy.backend != "scalar" and faultless else 1
+        self.group_size = _GROUP_CELLS if faultless else 1
         self.queue = CellQueue(
             [(eps, m, rep, spec.cell_seed(eps, m, rep)) for eps, m, rep in todo],
             retries=policy.retries,
             lease_timeout=policy.lease_timeout
             or LEASE_TIMEOUT_BEATS * policy.heartbeat_interval,
             timeout=policy.timeout,
-            # A group is one batch: copying its cells one by one would
-            # redo the batch's work (and its cache lookups) piecemeal.
-            speculate=policy.speculate and self.group_size == 1,
+            speculate=policy.speculate,
         )
         self.cell_by_seed = {spec.cell_seed(*cell): cell for cell in cells}
         #: what a local link inherits; a remote one gets it pickled, uncached.
-        self.job = (spec, algorithm_kwargs, policy.backend, policy.chaos, cache)
+        self.job = (spec, algorithm_kwargs, policy.chaos, cache)
         self.fingerprint = env_fingerprint()
         self.cache_totals = CacheStats() if cache is not None else None
         self.hosts: list[_Host] = []
@@ -640,7 +643,7 @@ class _LeaseLoop:
         link.inbound = HostLink(
             link.host.spec.name, self.policy.host_chaos, exempt=link.host.local
         )
-        link.hello_deadline = now + self.policy.handshake_timeout
+        link.hello_deadline = now + HANDSHAKE_TIMEOUT
         link.started_at = link.started_at or now
         link.last_activity = now
         if link.host.local:
@@ -721,7 +724,7 @@ class _LeaseLoop:
     def payload(self) -> str:
         """The sweep pickled for remote links (no cache: it is host-local)."""
         if self._payload is None:
-            self._payload = base64.b64encode(pickle.dumps(self.job[:4] + (None,))).decode("ascii")
+            self._payload = base64.b64encode(pickle.dumps(self.job[:3] + (None,))).decode("ascii")
         return self._payload
 
     def init_fields(self, link: _Link) -> dict[str, Any]:
@@ -800,7 +803,7 @@ class _LeaseLoop:
                 other.live for other in self.links.values()
                 if other.host.local and other is not link
             )
-            if link.failures > self.policy.worker_max_failures and not floor:
+            if link.failures > WORKER_MAX_FAILURES and not floor:
                 link.quarantined = True
                 self.manifest.worker_failures.append(
                     WorkerFailure(link.slot, link.failures, detail, link.history)
@@ -1082,8 +1085,8 @@ class _LeaseLoop:
         try:
             if not self.queue.done:
                 if self.host_specs is None:
-                    workers = self.policy.workers or min(
-                        len(self.queue.pending), os.cpu_count() or 2
+                    workers = self.policy.workers or default_workers(
+                        len(self.queue.pending)
                     )
                     self.add_host(HostSpec(name=LOCAL_HOST, slots=workers), local=True)
                 for spec in self.host_specs or ():
@@ -1181,6 +1184,7 @@ class _LeaseLoop:
 
 __all__ = [
     "DEFAULT_WORKER_COMMAND",
+    "HANDSHAKE_TIMEOUT",
     "HostLink",
     "HostSpec",
     "LOCAL_FALLBACK_HOST",
@@ -1189,6 +1193,7 @@ __all__ = [
     "REMOTE_PROTOCOL_VERSION",
     "RemoteProtocolError",
     "SCHEDULER",
+    "WORKER_MAX_FAILURES",
     "code_fingerprint",
     "decode_message",
     "encode_message",

@@ -31,7 +31,7 @@ Design notes:
   visible.
 * A lease names one cell, or several for a *group lease* (``group``):
   they run in one :func:`~repro.workloads.resilient.run_cells` call, so
-  the batch backend amortises across them, and come back as one
+  the batch kernel amortises across them, and come back as one
   ``result`` per cell.
 * Injected chaos: cell-level :class:`~repro.testing.chaos.ChaosPlan`
   faults travel with the sweep; the controller turns its worker and
@@ -78,7 +78,7 @@ def main(
 ) -> int:
     """Run the worker loop over *stdin*/*stdout*; returns the exit code.
 
-    *job* is ``(spec, algorithm_kwargs, backend, chaos, cache)``, inherited
+    *job* is ``(spec, algorithm_kwargs, chaos, cache)``, inherited
     by a forked local link; a remote worker receives it in ``init``.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
@@ -106,7 +106,7 @@ def main(
         return 1  # reject, or a controller that skipped the handshake
     if "payload" in message:
         job = pickle.loads(base64.b64decode(message["payload"]))
-    spec, algorithm_kwargs, backend, chaos, cache = job
+    spec, algorithm_kwargs, chaos, cache = job
     heartbeat_interval = float(message.get("heartbeat_interval", 0.1))
     slow = float(message.get("slow", 0.0))
     copies = 2 if message.get("duplicate") else 1
@@ -146,7 +146,7 @@ def main(
                 for fault in faults:
                     chaos.trigger(fault)  # may _exit, hang, or raise
             rows_per_cell = resilient.run_cells(
-                spec, [cell[:3] for cell in cells], algorithm_kwargs, cache, backend
+                spec, [cell[:3] for cell in cells], algorithm_kwargs, cache
             )
             for i, fault in enumerate(faults):
                 if fault == "corrupt":

@@ -5,8 +5,8 @@ Every multiprocess sweep runs the lease loop of
 :func:`repro.workloads.execute.execute_sweep`.  This module holds what
 that loop and the serial path share, and what a sweep returns:
 
-* :func:`run_cell` / :func:`run_cells` evaluate grid cells (workers call
-  them; the serial path calls them in process);
+* :func:`run_cells` evaluates grid cells (workers call it; the serial
+  path calls it in process);
 * :func:`validate_cell_rows` checks a worker's result before acceptance,
   so a worker returning corrupted rows counts as a failure rather than
   polluting the dataset;
@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.baselines.registry import ALGORITHMS, run_algorithm
+from repro.baselines.registry import ALGORITHMS
 from repro.core.guarantees import guarantee_for
 from repro.offline.cache import BracketCache, CacheStats
 from repro.workloads.journal import SweepJournal, spec_fingerprint
@@ -264,66 +264,22 @@ class ResilientSweepResult:
 # ---------------------------------------------------------------------------
 
 
-def run_cell(
-    spec: SweepSpec,
-    eps: float,
-    m: int,
-    rep: int,
-    algorithm_kwargs: dict[str, dict[str, Any]],
-    cache: BracketCache | None = None,
-) -> list[SweepRow]:
-    """Evaluate one grid cell for every algorithm (worker-side)."""
-    seed = spec.cell_seed(eps, m, rep)
-    instance = spec.workload(m, eps, seed)
-    bracket = cell_bracket(spec, instance, cache)
-    rows = []
-    for name in spec.algorithms:
-        result = run_algorithm(
-            name,
-            instance,
-            record_events=spec.record_events,
-            **algorithm_kwargs.get(name, {}),
-        )
-        rows.append(
-            SweepRow(
-                epsilon=eps,
-                machines=m,
-                repetition=rep,
-                algorithm=name,
-                accepted_load=result.accepted_load,
-                accepted_count=result.accepted_count,
-                n_jobs=len(instance),
-                opt_lower=bracket.lower,
-                opt_upper=bracket.upper,
-                opt_exact=bracket.exact,
-                guarantee=guarantee_for(name, eps, m),
-            )
-        )
-    return rows
-
-
 def run_cells(
     spec: SweepSpec,
     cells: list[tuple[float, int, int]],
     algorithm_kwargs: dict[str, dict[str, Any]],
     cache: BracketCache | None = None,
-    backend: str = "scalar",
+    backend: str = "auto",
 ) -> list[list[SweepRow]]:
-    """Evaluate several grid cells, optionally through the batch backend.
+    """Evaluate grid cells: one row per algorithm for each cell.
 
-    With ``backend="scalar"`` this is exactly ``[run_cell(...) for cell in
-    cells]``.  Otherwise all of the group's simulations are routed through
-    :func:`repro.engine.backend.run_simulations` in one call, so compatible
-    cells (same algorithm, machine count and job count) step through the
-    structure-of-arrays kernel together.  Rows are bit-identical either way
-    — the backend seam guarantees it — so journals, resumes and shard
-    merges are unaffected by the backend choice.
+    All of the cells' simulations go through one
+    :func:`repro.engine.backend.run_simulations` call, so compatible cells
+    (same algorithm, machine count and job count) step through the batch
+    kernel together; ``backend="scalar"`` runs each on the scalar kernel
+    instead.  Rows are bit-identical either way, so journals, resumes and
+    shard merges do not depend on how cells were grouped.
     """
-    if backend == "scalar":
-        return [
-            run_cell(spec, eps, m, rep, algorithm_kwargs, cache)
-            for eps, m, rep in cells
-        ]
     from repro.engine.backend import SimulationRequest, run_simulations
 
     instances = []
@@ -342,31 +298,26 @@ def run_cells(
         for instance in instances
         for name in spec.algorithms
     ]
-    results = run_simulations(requests, backend=backend)
-    rows_per_cell: list[list[SweepRow]] = []
-    i = 0
-    for (eps, m, rep), instance, bracket in zip(cells, instances, brackets):
-        rows = []
-        for name in spec.algorithms:
-            result = results[i]
-            i += 1
-            rows.append(
-                SweepRow(
-                    epsilon=eps,
-                    machines=m,
-                    repetition=rep,
-                    algorithm=name,
-                    accepted_load=result.accepted_load,
-                    accepted_count=result.accepted_count,
-                    n_jobs=len(instance),
-                    opt_lower=bracket.lower,
-                    opt_upper=bracket.upper,
-                    opt_exact=bracket.exact,
-                    guarantee=guarantee_for(name, eps, m),
-                )
+    results = iter(run_simulations(requests, backend=backend))
+    return [
+        [
+            SweepRow(
+                epsilon=eps,
+                machines=m,
+                repetition=rep,
+                algorithm=name,
+                accepted_load=result.accepted_load,
+                accepted_count=result.accepted_count,
+                n_jobs=len(instance),
+                opt_lower=bracket.lower,
+                opt_upper=bracket.upper,
+                opt_exact=bracket.exact,
+                guarantee=guarantee_for(name, eps, m),
             )
-        rows_per_cell.append(rows)
-    return rows_per_cell
+            for name, result in zip(spec.algorithms, results)
+        ]
+        for (eps, m, rep), instance, bracket in zip(cells, instances, brackets)
+    ]
 
 
 def validate_sweep_pickles(
@@ -599,7 +550,6 @@ __all__ = [
     "check_machine_counts",
     "check_seed_collisions",
     "prepare_journal",
-    "run_cell",
     "run_cells",
     "spec_fingerprint",
     "validate_cell_rows",

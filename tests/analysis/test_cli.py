@@ -312,6 +312,101 @@ class TestSweepCommand:
         assert "bracket cache" not in capsys.readouterr().out
 
 
+class TestSweepFlagTable:
+    """Which path each ``repro sweep`` flag combination takes, and its exit
+    code: the serial path, the lease loop, or a refusal before either."""
+
+    BASE = [
+        "sweep", "--epsilons", "0.3", "--machines", "2", "--n", "6",
+        "--repetitions", "2", "--algorithms", "greedy", "--no-cache",
+    ]
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        from repro.workloads import execute, remote
+
+        taken = []
+        for module, name, path in (
+            (execute, "_execute_serial", "serial"),
+            (remote, "run_lease_loop", "lease"),
+        ):
+            def spy(*args, _real=getattr(module, name), _path=path, **kwargs):
+                taken.append(_path)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return taken
+
+    @pytest.mark.parametrize(
+        ("flags", "path", "code"),
+        [
+            ([], "serial", 0),
+            (["--parallel", "2"], "lease", 0),
+            (["--parallel", "1", "--no-speculate"], "lease", 0),
+            (["--journal", "{J}"], "lease", 0),
+            (["--timeout", "30"], "lease", 0),
+            (["--manifest", "{M}"], "lease", 0),
+            (["--adaptive-reps"], "lease", 0),
+            (["--manifest", "{M}", "--adaptive-reps"], "lease", 0),
+            (["--shards", "2", "--shard-index", "1"], "lease", 0),
+            (["--retries", "0"], "serial", 0),
+            (["--no-speculate"], "serial", 0),
+            (["--heartbeat-interval", "0.05"], "serial", 0),
+            (["--lease-timeout", "5"], "serial", 0),
+            (["--host-max-failures", "3"], "serial", 0),
+            (["--no-local-fallback"], "serial", 0),
+            (["--cache-dir", "{D}"], "serial", 0),
+            (["--shards", "2"], None, 2),
+            (["--shards", "2", "--shard-index", "2"], None, 2),
+            (["--shards", "0"], None, 2),
+            (["--salvage"], None, 2),
+            (["--parallel", "2", "--timeout", "0"], None, 2),
+            (["--parallel", "2", "--retries", "-1"], None, 2),
+            (["--parallel", "2", "--heartbeat-interval", "0.5", "--lease-timeout", "0.2"],
+             None, 2),
+            (["--manifest", "{M}", "--timeout", "0"], None, 2),
+            (["--journal", "{J}", "--resume", "{K}"], None, 2),
+            (["--hosts", "{D}/missing.json"], None, 2),
+            (["--adaptive-reps", "--hosts", "{H}"], None, 2),
+            (["--epsilons", "0.1,0.3", "--machines", "2,3", "--repetitions", "70"],
+             None, 2),
+        ],
+    )
+    def test_path_and_exit_code(self, flags, path, code, paths, tmp_path, capsys):
+        (tmp_path / "hosts.json").write_text('[{"name": "a"}]')
+        names = {"{J}": "j.jsonl", "{K}": "k.jsonl", "{M}": "m.json", "{H}": "hosts.json"}
+        argv = [
+            str(tmp_path / names[f]) if f in names else f.replace("{D}", str(tmp_path))
+            for f in flags
+        ]
+        assert main(self.BASE + argv) == code
+        assert paths == ([] if path is None else [path])
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("salvage", [[], ["--salvage"]])
+    def test_resume_takes_the_lease_loop(self, salvage, paths, tmp_path, capsys):
+        journal = str(tmp_path / "j.jsonl")
+        assert main(self.BASE + ["--journal", journal]) == 0
+        assert main(self.BASE + ["--resume", journal] + salvage) == 0
+        assert paths == ["lease", "lease"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--retries", "-1"],
+            ["--heartbeat-interval", "0"],
+            ["--parallel", "-1"],
+            ["--host-max-failures", "0"],
+            ["--lease-timeout", "0.05"],
+        ],
+    )
+    def test_invalid_values_are_refused_on_the_serial_path_too(self, flags, paths, capsys):
+        assert main(self.BASE + flags) == 2
+        assert paths == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestShardedSweepCommand:
     BASE = [
         "sweep",

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.params import (
+    _C_XTOL,
     BoundFunction,
+    _brentq,
     asymptotic_bound,
     c_bound,
     clamp_epsilon,
@@ -75,6 +77,92 @@ class TestTinySlacks:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="too small"):
                 BoundFunction(m).parameters(1e-308)
+
+
+def _doubling_c(m: int, eps: float) -> float | None:
+    """The earlier bracket search, kept as the oracle: double ``c_hi`` and
+    refuse (``None``) as soon as the chain overflows."""
+    bf = BoundFunction(m)
+    k = bf.phase(eps)
+    target = (1.0 + eps) / eps
+
+    def residual(c):
+        return forward_f_chain(c, m, k)[-1] - target
+
+    c_lo = (2.0 * m + 1.0) / k
+    r_lo = residual(c_lo)
+    if abs(r_lo) <= 1e-12 or r_lo > 0:
+        return c_lo
+    c_hi = max(2.0 * c_lo, 4.0)
+    try:
+        with np.errstate(over="raise"):
+            while residual(c_hi) < 0.0:
+                c_hi *= 2.0
+                if c_hi == math.inf:
+                    return None
+    except FloatingPointError:
+        return None
+    return _brentq(residual, c_lo, c_hi, xtol=_C_XTOL, rtol=1e-15)
+
+
+def _first_solvable(m: int) -> float:
+    """The smallest slack c(eps, m) solves, to within a part in 1e9
+    (bisection in log space; every larger slack solves)."""
+    lo, hi = math.log(5.6e-309), math.log(1e-300)
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        try:
+            BoundFunction(m).parameters(math.exp(mid))
+        except ValueError:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi)
+
+
+class TestOverflowingBracket:
+    """Slacks where only doubling ``c_hi`` overflows now solve."""
+
+    #: Every fifth slack of 1,500 log-spaced in [1e-306, 1] and 500 linear
+    #: in [0.001, 1].
+    GRID = sorted(
+        set(np.logspace(-306, 0, 1500)[::5].tolist())
+        | set(np.linspace(0.001, 1, 500)[::5].tolist())
+    )
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_values_the_doubling_search_found_are_unchanged(self, m):
+        bf = BoundFunction(m)
+        solved = 0
+        for eps in self.GRID:
+            expected = _doubling_c(m, eps)
+            if expected is not None:
+                assert bf.parameters(eps).c.hex() == expected.hex(), eps
+                solved += 1
+        assert solved >= len(self.GRID) - 1
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_new_values_solve_the_residual_and_decrease(self, m):
+        first = _first_solvable(m)
+        slacks = np.geomspace(first, 1e-305, 60)
+        cs = []
+        for eps in slacks:
+            params = BoundFunction(m).parameters(float(eps))
+            target = (1.0 + eps) / eps
+            assert params.k == 1
+            # brentq's rtol of 1e-15 on c, amplified by f_m ~ c^m.
+            assert abs(params.f[-1] - target) <= m * 1e-15 * target
+            assert math.isfinite(params.c) and params.c > 1.0
+            cs.append(params.c)
+        assert all(a >= b for a, b in zip(cs, cs[1:]))
+        # Some of these were refused by the doubling search.
+        assert any(_doubling_c(m, float(eps)) is None for eps in slacks)
+
+    def test_refusal_boundary_is_monotone_in_m(self):
+        boundary = [_first_solvable(m) for m in range(1, 9)]
+        assert boundary == sorted(boundary)
+        # The chain's own product c * depth still overflows here.
+        assert boundary[1] > 1e-308
 
 
 class TestForwardChain:

@@ -24,8 +24,8 @@ the earlier full-scan policy and overlap check, on schedules, counters and
 event streams, plus a corpus of jobs near and below ``TIME_EPS`` that the
 loop completes wherever the reference refuses a plan.
 
-Plus the seam's dispatch semantics: loud scalar fallback under
-``backend="batch"``, the ``auto`` grouping heuristic, near-tie threshold
+Plus the seam's dispatch semantics: the quiet scalar path for requests
+the batch kernels do not serve, the ``auto`` grouping heuristic, near-tie threshold
 decisions pinned identical across backends, ``MAX_KERNEL_STEPS``
 enforcement with the same :class:`~repro.engine.kernel.SimulationError`
 shape as ``run_model``, and RNG seeds inside randomized grouping keys (so
@@ -46,7 +46,7 @@ from repro.baselines.registry import run_algorithm
 from repro.core.params import clamp_epsilon, threshold_parameters
 from repro.engine.backend import (
     _AUTO_MIN_GROUP,
-    BackendFallbackWarning,
+    BACKEND_CHOICES,
     BatchBackend,
     SimulationRequest,
     run_simulation,
@@ -344,7 +344,7 @@ def test_batched_group_equals_independent_runs():
     """One batched call over many instances == per-instance scalar runs."""
     instances = [random_instance(30, 3, 0.2, seed=s) for s in range(8)]
     requests = [SimulationRequest("threshold", inst) for inst in instances]
-    batch = run_simulations(requests, backend="batch")
+    batch = BatchBackend().run_many(requests)
     for inst, result in zip(instances, batch):
         _assert_immediate_equal(run_algorithm("threshold", inst), result)
 
@@ -500,11 +500,13 @@ def _golden_schedule_snapshot(schedule):
 
 
 def _fallback_schedule(algorithm, inst, **kwargs):
-    """Run through ``backend="batch"``, which serves the model by its
-    scalar loop and says so."""
+    """Run a group through ``run_simulations``, which serves the model by
+    its scalar loop, quietly."""
     request = SimulationRequest(algorithm, inst, kwargs=kwargs)
-    with pytest.warns(BackendFallbackWarning, match=algorithm):
-        result = run_simulation(request, backend="batch")
+    assert not BatchBackend().supports(request)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, _ = run_simulations([request] * 2)
     assert "backend" not in result.detail.meta
     return result.detail
 
@@ -640,44 +642,28 @@ def test_new_kernels_enforce_max_steps(runner, model):
 # ---------------------------------------------------------------------------
 
 
-def test_explicit_batch_falls_back_loudly_for_unsupported():
+def test_unsupported_requests_run_scalar_inside_a_batched_call():
     inst = random_instance(10, 2, 0.3, seed=0)
     requests = [
         SimulationRequest("threshold", inst),
         SimulationRequest("dasgupta-palis", inst),  # preemptive: unsupported
         SimulationRequest("revocable-greedy", inst),  # penalties: scalar-only
-    ]
-    with pytest.warns(
-        BackendFallbackWarning, match="dasgupta-palis, revocable-greedy"
-    ):
-        results = run_simulations(requests, backend="batch")
+    ] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_simulations(requests)
     assert results[0].detail.meta["backend"] == "batch"
     assert results[1].accepted_load == run_algorithm("dasgupta-palis", inst).accepted_load
     _assert_penalties_equal(results[2], run_algorithm("revocable-greedy", inst))
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda request: run_simulation(request, backend="batch"),
-        lambda request: run_simulations([request], backend="batch"),
-    ],
-    ids=["run_simulation", "run_simulations"],
-)
-def test_fallback_warning_names_the_caller(run):
-    request = SimulationRequest("revocable-greedy", random_instance(5, 2, 0.3, seed=0))
-    with pytest.warns(BackendFallbackWarning) as record:
-        run(request)
-    assert [Path(w.filename).name for w in record] == [Path(__file__).name]
 
 
 def test_record_events_falls_back_to_scalar():
     inst = random_instance(10, 2, 0.3, seed=0)
     request = SimulationRequest("threshold", inst, record_events=True)
     assert not BatchBackend().supports(request)
-    with pytest.warns(BackendFallbackWarning):
-        result = run_simulation(request, backend="batch")
-    assert result.events is not None
+    results = run_simulations([request] * _AUTO_MIN_GROUP)
+    assert all(r.events is not None for r in results)
+    assert all(r.detail.meta.get("backend") != "batch" for r in results)
 
 
 def test_auto_batches_groups_and_not_singletons():
@@ -696,9 +682,13 @@ def test_auto_batches_groups_and_not_singletons():
 
 
 def test_unknown_backend_rejected():
+    assert BACKEND_CHOICES == ("auto", "scalar")
     inst = random_instance(4, 1, 0.3, seed=0)
-    with pytest.raises(ValueError, match="unknown backend"):
-        run_simulations([SimulationRequest("threshold", inst)], backend="vector")
+    for backend in ("vector", "batch"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_simulations([SimulationRequest("threshold", inst)], backend=backend)
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_simulation(SimulationRequest("threshold", inst), backend=backend)
 
 
 def test_batch_backend_run_many_rejects_unsupported_directly():
@@ -761,7 +751,7 @@ def test_mixed_seed_requests_never_share_a_group():
     ]
     for scalar, batch in zip(
         run_simulations(requests, backend="scalar"),
-        run_simulations(requests, backend="batch"),
+        BatchBackend().run_many(requests),
     ):
         _assert_immediate_equal(scalar, batch)
 
@@ -800,9 +790,8 @@ def test_live_generator_rng_is_scalar_only():
         )
         is None
     )
-    with pytest.warns(BackendFallbackWarning, match="random-admission"):
-        result = run_simulation(gen_req, backend="batch")
-    assert result.detail.meta.get("backend") != "batch"
+    results = run_simulations([gen_req] * _AUTO_MIN_GROUP)
+    assert all(r.detail.meta.get("backend") != "batch" for r in results)
 
 
 def test_single_machine_rules_unsupported_on_multi_machine_instances():
@@ -810,12 +799,9 @@ def test_single_machine_rules_unsupported_on_multi_machine_instances():
     inst = random_instance(10, 3, 0.3, seed=0)
     assert backend.group_key(SimulationRequest("goldwasser-kerbikov", inst)) is None
     assert backend.group_key(SimulationRequest("classify-select", inst)) is None
-    # The scalar fallback then raises the canonical registry error.
-    with pytest.warns(BackendFallbackWarning):
-        with pytest.raises(ValueError, match="single-machine"):
-            run_simulation(
-                SimulationRequest("goldwasser-kerbikov", inst), backend="batch"
-            )
+    # The scalar path then raises the canonical registry error.
+    with pytest.raises(ValueError, match="single-machine"):
+        run_simulations([SimulationRequest("goldwasser-kerbikov", inst)] * _AUTO_MIN_GROUP)
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +827,8 @@ def test_auto_heuristics_for_new_immediate_variants():
 
 
 def test_delayed_and_admission_run_their_one_loop_on_every_backend():
-    """No batch kernel: ``auto`` runs them scalar, quietly, even in groups;
-    ``batch`` falls back loudly; all three give the scalar result."""
+    """No batch kernel: ``auto`` runs them scalar, quietly, even in groups,
+    and gives the scalar result."""
     inst = random_instance(12, 2, 0.3, seed=1)
     algorithms = ("delayed-greedy", "admission-greedy", "admission-lazy")
     requests = [SimulationRequest(a, inst) for a in algorithms for _ in range(3)]
@@ -851,9 +837,7 @@ def test_delayed_and_admission_run_their_one_loop_on_every_backend():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         auto = run_simulations(requests, backend="auto")
-    with pytest.warns(BackendFallbackWarning, match=", ".join(sorted(algorithms))):
-        batch = run_simulations(requests, backend="batch")
-    for results in zip(scalar, auto, batch):
+    for results in zip(scalar, auto):
         for result in results:
             assert "backend" not in result.detail.meta
             assert _schedule_key(result.detail) == _schedule_key(results[0].detail)

@@ -21,6 +21,7 @@ from repro.serve.snapshotter import (
     service_fingerprint,
     verify_decision_log,
 )
+from repro.testing.chaos import truncate_tail
 from repro.utils.sealed_log import LogWriter
 from repro.workloads.arrivals import mmpp_instance
 from repro.workloads.random_instances import random_instance
@@ -182,6 +183,22 @@ class TestCrashRecovery:
         # the file itself was repaired: a fresh load sees no truncation
         resumed.close()
         assert not load_decision_journal(path).truncated_tail
+
+    def test_a_seal_that_lost_its_newline_is_not_sealed(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        inst = random_instance(6, 2, 0.4, seed=7)
+        _, journal, service = _serve_instance(path, inst)
+        journal.seal()
+        journal.close()
+        truncate_tail(path)  # only the final newline goes
+        state = load_decision_journal(path)
+        assert not state.truncated_tail and not state.sealed
+        assert len(state.decisions) == 6
+        # A resume writes the missing newline and seals again.
+        resumed, _ = DecisionJournal.resume(path, service)
+        resumed.seal()
+        resumed.close()
+        assert load_decision_journal(path).sealed
 
     def test_resume_restores_identical_session(self, tmp_path):
         path = tmp_path / "log.jsonl"

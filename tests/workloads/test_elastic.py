@@ -15,7 +15,9 @@ from functools import lru_cache, partial
 
 import pytest
 
+from repro.offline.cache import BracketCache
 from repro.testing.chaos import WorkerChaosPlan
+from repro.workloads import elastic, remote, resilient
 from repro.workloads.elastic import (
     DEFAULT_HEARTBEAT_INTERVAL,
     LEASE_TIMEOUT_BEATS,
@@ -23,9 +25,9 @@ from repro.workloads.elastic import (
     SpeculationMismatch,
 )
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
-from repro.workloads.journal import load_journal
+from repro.workloads.journal import load_journal, verify_journal
 from repro.workloads.random_instances import random_instance
-from repro.workloads.resilient import SweepInterrupted, run_cell
+from repro.workloads.resilient import SweepInterrupted, run_cells
 from repro.workloads.sweep import SweepSpec
 
 
@@ -222,7 +224,7 @@ class TestCellQueueUnit:
         cells = _queue_cells(spec)[:1]
         queue = CellQueue(cells, lease_timeout=1.0)
         eps, m, rep, seed = cells[0]
-        rows = run_cell(spec, eps, m, rep, {})
+        [rows] = run_cells(spec, [(eps, m, rep)], {})
         queue.next_lease(0, now=0.0)
         queue.next_lease(1, now=0.5)  # speculative copy
         assert queue.complete(0, seed, rows)[0] == "win"
@@ -270,8 +272,11 @@ class TestElasticExecution:
         assert stats["heartbeats"] >= 0
         assert stats["speculated"] >= 0
 
-    def test_acceptance_slow_plus_dead_worker_no_cell_quarantined(self, tmp_path):
+    def test_acceptance_slow_plus_dead_worker_no_cell_quarantined(
+        self, tmp_path, monkeypatch
+    ):
         """ISSUE 7 acceptance: 10x slow + mid-sweep death, zero cell loss."""
+        monkeypatch.setattr(remote, "WORKER_MAX_FAILURES", 2)
         spec = _spec()
         path = tmp_path / "chaos.jsonl"
         plan = WorkerChaosPlan(
@@ -283,7 +288,6 @@ class TestElasticExecution:
             journal=str(path),
             workers=3,
             worker_chaos=plan,
-            worker_max_failures=2,
         )
         assert _rows_key(result.rows) == _rows_key(_serial_rows(17))
         assert not result.manifest.failures  # no *cell* quarantined
@@ -292,7 +296,7 @@ class TestElasticExecution:
         state = load_journal(path)
         assert set(state.completed) == {spec.cell_seed(*c) for c in spec.cells()}
 
-    def test_lost_heartbeats_expire_lease_and_quarantine_worker(self):
+    def test_lost_heartbeats_expire_lease_and_quarantine_worker(self, monkeypatch):
         """A hung-alike slot is drained of its lease, then quarantined.
 
         Slot 0 never heartbeats and sleeps past the lease deadline, so
@@ -301,6 +305,7 @@ class TestElasticExecution:
         granted (and loses) a second lease — over its budget of 1 — while
         speculation is off so expiry is the only recovery channel.
         """
+        monkeypatch.setattr(remote, "WORKER_MAX_FAILURES", 1)
         spec = _spec(repetitions=1)
         plan = WorkerChaosPlan(
             lost_heartbeat=(0,),
@@ -312,7 +317,6 @@ class TestElasticExecution:
             worker_chaos=plan,
             heartbeat_interval=0.02,
             lease_timeout=0.1,
-            worker_max_failures=1,
             speculate=False,
         )
         assert _rows_key(result.rows) == _rows_key(execute_sweep(spec).rows)
@@ -345,6 +349,31 @@ class TestElasticExecution:
         assert wall < 1.2, f"speculation failed to contain the straggler: {wall:.2f}s"
         assert result.manifest.speculated >= 1
         assert "speculated" in result.manifest.summary()
+
+    def test_default_policy_speculates_group_lease_members(self, tmp_path, monkeypatch):
+        """One slow worker holding a group lease must not hold up the sweep:
+        once the queue runs dry the other worker copies its members."""
+        spec = _spec(repetitions=10)  # 40 cells: leases of 8 cells
+        serial = execute_sweep(spec).rows
+        _slow_down_first_worker(monkeypatch, tmp_path / "slow.marker")
+        path = tmp_path / "slow.jsonl"
+        result = execute_sweep(spec, ExecutionPolicy(workers=2, journal=str(path)))
+        assert result.manifest.speculated >= 1
+        assert result.complete
+        assert _rows_key(result.rows) == _rows_key(serial)
+        assert verify_journal(path).ok
+
+    def test_cache_counts_under_speculation(self, tmp_path, monkeypatch):
+        """A speculated cell may look its bracket up twice, never less than once."""
+        spec = _spec(repetitions=10)
+        _slow_down_first_worker(monkeypatch, tmp_path / "slow.marker")
+        result = execute_sweep(
+            spec, ExecutionPolicy(workers=2, cache=BracketCache(tmp_path / "cache"))
+        )
+        manifest, stats = result.manifest, result.cache_stats
+        assert manifest.speculated >= 1 and result.complete
+        lookups = stats["hits"] + stats["misses"]
+        assert manifest.cells_total <= lookups <= manifest.cells_total + manifest.speculated
 
     def test_interrupt_and_resume_bit_identical(self, tmp_path):
         spec = _spec()
@@ -381,6 +410,31 @@ class TestElasticExecution:
         assert not result.manifest.worker_failures  # slot survives, cell pays
 
 
+def _slow_down_first_worker(monkeypatch, marker):
+    """The first worker process to run a lease sleeps 50 ms per cell.
+
+    Local workers fork from the test process and look ``run_cells`` up on
+    :mod:`repro.workloads.resilient` at call time, so they inherit the
+    patch; *marker* (created exclusively) elects the one slow process.
+    """
+    real = resilient.run_cells
+    slow: dict[int, bool] = {}
+
+    def run_cells(spec, cells, *args, **kwargs):
+        pid = os.getpid()
+        if pid not in slow:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                slow[pid] = True
+            except FileExistsError:
+                slow[pid] = False
+        if slow[pid]:
+            time.sleep(0.05 * len(cells))
+        return real(spec, cells, *args, **kwargs)
+
+    monkeypatch.setattr(resilient, "run_cells", run_cells)
+
+
 def _sleepy_workload(m: int, eps: float, seed: int):
     time.sleep(5.0)
     return random_instance(6, m, eps, seed=seed)
@@ -415,15 +469,11 @@ class TestCrashingCell:
 
 
 class TestAdaptiveReps:
-    def test_loose_tolerance_skips_trailing_reps(self):
+    def test_loose_tolerance_skips_trailing_reps(self, monkeypatch):
+        monkeypatch.setattr(elastic, "ADAPTIVE_MIN_REPS", 2)
+        monkeypatch.setattr(elastic, "ADAPTIVE_REL_TOL", 10.0)  # any CI is tight
         spec = _spec(repetitions=6)
-        result = _elastic(
-            spec,
-            workers=2,
-            adaptive_reps=True,
-            adaptive_min_reps=2,
-            adaptive_rel_tol=10.0,  # any CI counts as tight
-        )
+        result = _elastic(spec, workers=2, adaptive_reps=True)
         assert result.manifest.cells_skipped > 0
         assert (
             result.manifest.cells_completed + result.manifest.cells_skipped
@@ -445,14 +495,11 @@ class TestAdaptiveReps:
         for reps in done_reps.values():
             assert reps == set(range(len(reps)))  # contiguous prefix from 0
 
-    def test_tight_tolerance_runs_everything(self):
+    def test_tight_tolerance_runs_everything(self, monkeypatch):
+        # Never tight for noisy loads.
+        monkeypatch.setattr(elastic, "ADAPTIVE_REL_TOL", 1e-12)
         spec = _spec(repetitions=3)
-        result = _elastic(
-            spec,
-            workers=2,
-            adaptive_reps=True,
-            adaptive_rel_tol=1e-12,  # never tight for noisy loads
-        )
+        result = _elastic(spec, workers=2, adaptive_reps=True)
         assert result.manifest.cells_skipped == 0
         assert result.manifest.cells_completed == result.manifest.cells_total
         assert _rows_key(result.rows) == _rows_key(_serial_rows(17))
@@ -464,9 +511,9 @@ class TestPolicyValidation:
         [
             dict(heartbeat_interval=0.0),
             dict(heartbeat_interval=0.5, lease_timeout=0.5),
-            dict(worker_max_failures=0),
-            dict(adaptive_reps=True, adaptive_min_reps=1),
-            dict(adaptive_reps=True, adaptive_rel_tol=0.0),
+            dict(workers=2, lease_timeout=0.1),  # not above the default beat
+            dict(workers=2, heartbeat_interval=-0.1),
+            dict(workers=2, cache=True),  # a BracketCache or None
             dict(adaptive_reps=True),  # requires worker processes
             dict(worker_chaos=WorkerChaosPlan()),  # requires worker processes
         ],

@@ -5,6 +5,7 @@ tests pin its contract — policy validation fails fast, and the serial
 and multiprocess paths return bit-identical rows.
 """
 
+from dataclasses import fields
 from functools import partial
 
 import pytest
@@ -45,7 +46,7 @@ class TestExecutionPolicyValidation:
         policy = ExecutionPolicy()
         assert not policy.needs_processes
         assert not policy.sharded
-        assert policy.resolve_cache() is None
+        assert policy.cache is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -74,21 +75,33 @@ class TestExecutionPolicyValidation:
             ({"adaptive_reps": True}, "worker processes"),
             ({"workers": 0}, "workers"),
             ({"timeout": 0.0}, "timeout"),
-            ({"cache": False, "cache_dir": "/tmp/x"}, "cache"),
+            ({"cache": True}, "cache"),
         ],
     )
     def test_invalid_policies_fail_fast(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ExecutionPolicy(**kwargs)
 
-    def test_resolve_cache(self, tmp_path):
+    def test_cache_is_a_bracket_cache_or_none(self, tmp_path):
         ready = BracketCache(tmp_path)
-        assert ExecutionPolicy(cache=ready).resolve_cache() is ready
-        assert ExecutionPolicy(cache=False).resolve_cache() is None
-        implied = ExecutionPolicy(cache_dir=tmp_path).resolve_cache()
-        assert isinstance(implied, BracketCache)
-        explicit = ExecutionPolicy(cache=True, cache_dir=tmp_path).resolve_cache()
-        assert isinstance(explicit, BracketCache)
+        assert ExecutionPolicy(cache=ready).cache is ready
+        assert ExecutionPolicy(cache=None).cache is None
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="BracketCache or None"):
+                ExecutionPolicy(cache=flag)
+
+    def test_six_knobs_are_gone(self):
+        for name in (
+            "backend",
+            "cache_dir",
+            "adaptive_min_reps",
+            "adaptive_rel_tol",
+            "worker_max_failures",
+            "handshake_timeout",
+        ):
+            with pytest.raises(TypeError):
+                ExecutionPolicy(**{name: None})
+        assert len(fields(ExecutionPolicy)) == 21
 
     def test_with_shard(self):
         policy = ExecutionPolicy(shards=4, shard_index=0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.testing import bitflip
+from repro.testing import bitflip, truncate_tail
 from repro.utils.sealed_log import LogWriter
 from repro.workloads.journal import (
     JournalError,
@@ -235,6 +235,25 @@ def _flip_rows_payload(path, line_index=1, seed=0):
 
 
 class TestIntegrity:
+    def test_a_seal_that_lost_its_newline_does_not_verify(self, tmp_path):
+        from repro.cli import main
+        from repro.workloads.sharding import merge_journals
+
+        spec, _, path = _sealed_journal(tmp_path)
+        truncate_tail(path)  # only the final newline goes
+        state = load_journal(path)
+        assert not state.truncated_tail and not state.sealed
+        assert set(state.completed) == {spec.cell_seed(*c) for c in spec.cells()}
+        assert verify_journal(path).status == "unsealed"
+        assert main(["verify", str(path)]) == 3
+        with pytest.raises(JournalError, match="no final seal"):
+            merge_journals([path], require_verified=True)
+        # A resume writes the missing newline and seals again.
+        journal, _ = SweepJournal.resume(path, spec)
+        journal.record_seal()
+        journal.close()
+        assert verify_journal(path).ok
+
     def test_clean_sealed_journal_verifies(self, tmp_path):
         _, _, path = _sealed_journal(tmp_path)
         state = load_journal(path)

@@ -20,11 +20,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.testing.chaos import HostChaosPlan
+from repro.testing.chaos import HostChaosPlan, WorkerChaosPlan
 from repro.workloads.elastic import CellQueue
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
 from repro.workloads.journal import load_journal
 from repro.workloads.random_instances import random_instance
+from repro.workloads import remote
 from repro.workloads.remote import (
     DEFAULT_WORKER_COMMAND,
     HostLink,
@@ -40,7 +41,7 @@ from repro.workloads.remote import (
     message_crc,
     resolve_hosts,
 )
-from repro.workloads.resilient import run_cell
+from repro.workloads.resilient import run_cells
 from repro.workloads.sweep import SweepSpec
 
 
@@ -68,12 +69,17 @@ def _serial_rows(base_seed: int, repetitions: int = 2) -> tuple:
     )
 
 
+@pytest.fixture(autouse=True)
+def _short_handshake(monkeypatch):
+    """A worker that never says hello fails its test in 15 s, not 30."""
+    monkeypatch.setattr(remote, "HANDSHAKE_TIMEOUT", 15.0)
+
+
 def _remote(spec, hosts, **kwargs):
     defaults = dict(
         hosts=hosts,
         retries=2,
         heartbeat_interval=0.05,
-        handshake_timeout=15.0,
     )
     defaults.update(kwargs)
     return execute_sweep(spec, ExecutionPolicy(**defaults))
@@ -301,7 +307,7 @@ class TestPolicyValidation:
             dict(host_chaos=HostChaosPlan()),  # requires hosts
             dict(worker_chaos=object()),  # applies to worker processes only
             dict(hosts=(HostSpec(name="a"),), host_max_failures=0),
-            dict(hosts=(HostSpec(name="a"),), handshake_timeout=0.0),
+            dict(hosts=(HostSpec(name="a"),), worker_chaos=WorkerChaosPlan()),
             dict(hosts=(HostSpec(name="a"),), adaptive_reps=True),
         ],
     )
@@ -488,7 +494,6 @@ class TestCrashingCell:
         result = _remote(
             _crash_spec(),
             _hosts(HostSpec(name="a")),
-            backend="scalar",
             host_max_failures=5,
         )
         [failure] = result.manifest.failures
@@ -549,7 +554,8 @@ def _tiny_cells_and_rows():
         (eps, m, rep, spec.cell_seed(eps, m, rep)) for eps, m, rep in spec.cells()
     ]
     rows = {
-        seed: run_cell(spec, eps, m, rep, {}) for eps, m, rep, seed in cells
+        seed: rows
+        for (*_, seed), rows in zip(cells, run_cells(spec, list(spec.cells()), {}))
     }
     return spec, tuple(cells), rows
 

@@ -38,7 +38,7 @@ from repro.workloads.resilient import (
     SweepInterrupted,
     _terminate,
     _terminate_all,
-    run_cell,
+    run_cells,
     validate_cell_rows,
 )
 from repro.workloads.sweep import SweepSpec
@@ -412,7 +412,7 @@ class TestTerminationEscalation:
                 workload=workload,
                 repetitions=4,
             )
-            policy = ExecutionPolicy(workers=2, backend="batch")
+            policy = ExecutionPolicy(workers=2)
             try:
                 execute_sweep(spec, policy)
             except SweepInterrupted:
@@ -550,7 +550,8 @@ class TestLeaseInterleavingProperty:
             (eps, m, rep, spec.cell_seed(eps, m, rep)) for eps, m, rep in spec.cells()
         ]
         rows_by_seed = {
-            seed: run_cell(spec, eps, m, rep, {}) for eps, m, rep, seed in cells
+            seed: rows
+            for (*_, seed), rows in zip(cells, run_cells(spec, list(spec.cells()), {}))
         }
         path = tmp_path / f"interleave-{time.monotonic_ns()}.jsonl"
         # Pad with a "complete" drain tail so every prefix hypothesis chooses
@@ -570,7 +571,7 @@ class TestLeaseInterleavingProperty:
         ]
         queue = CellQueue(cells, lease_timeout=1.0)
         first = queue.next_lease(0, 0.0)
-        rows = run_cell(spec, first.eps, first.m, first.rep, {})
+        [rows] = run_cells(spec, [(first.eps, first.m, first.rep)], {})
         assert queue.complete(0, first.seed, rows)[0] == "win"
         # A second (stale/speculative) copy with identical rows is benign …
         queue.pending.clear()

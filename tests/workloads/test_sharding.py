@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.offline.cache import BracketCache
 from repro.testing.chaos import truncate_tail
 from repro.workloads.execute import ExecutionPolicy, execute_sweep
 from repro.workloads.journal import (
@@ -155,7 +156,10 @@ class TestShardedExecution:
         spec = _spec()
         paths = shard_journal_paths(tmp_path / "sweep.jsonl", 2)
         for i, path in enumerate(paths):
-            _run_shard(spec, 2, i, path, cache=True, cache_dir=tmp_path / "cache")
+            # One execution per cell: a speculative copy would count twice.
+            _run_shard(
+                spec, 2, i, path, cache=BracketCache(tmp_path / "cache"), speculate=False
+            )
         merged = merge_journals(paths)
         assert merged.cache_stats is not None
         stats = merged.cache_stats
