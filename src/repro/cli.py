@@ -678,8 +678,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         report = cache.scan()
         print(f"cache directory : {report.directory}")
         print(f"entries         : {report.entries}")
-        print(f"shards          : {report.shards}")
+        print(f"corrupt lines   : {report.corrupt}")
         print(f"size on disk    : {report.total_bytes} bytes")
+        print(f"old-layout files: {report.old_entries}")
         print(f"schema version  : {report.as_dict()['version']}")
     else:  # clear
         removed = cache.clear()

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for offline OPT brackets.
+"""Content-addressed cache for offline OPT brackets, on one append-only log.
 
 :func:`repro.offline.bracket.opt_bracket` is *pure* in ``(instance,
 exact_limit, force_bounds)`` — the same job set on the same machine count
@@ -9,9 +9,13 @@ and over.  :class:`BracketCache` eliminates that waste with two tiers:
 
 * a **process-local LRU** (an ``OrderedDict`` capped at
   ``max_memory_entries``) absorbing repeated lookups within one process;
-* a **content-addressed disk tier**: one atomic JSON file per bracket
-  under a sharded directory (``<cache_dir>/<key[:2]>/<key[2:]>.json``),
-  shared between processes and across runs.
+* a **disk tier**: one append-only log per cache directory,
+  ``<cache_dir>/brackets-v<CACHE_VERSION>.jsonl``, shared between
+  processes and across runs.  Each line is one
+  :func:`repro.utils.sealed_log.record_line` of ``{key, lower, upper,
+  exact, crc}``.  A process reads the log once, at its first lookup,
+  into an index, and answers every later lookup from it: a miss does no
+  file I/O.  The process's own entries go into the index too.
 
 Keys are SHA-256 digests of a *canonical* instance fingerprint — the
 sorted multiset of ``(release, processing, deadline)`` triples plus the
@@ -20,21 +24,32 @@ machine count — combined with ``exact_limit``, ``force_bounds`` and
 slack ``epsilon`` do not enter the key: none of them can change the
 offline optimum.  Bumping :data:`CACHE_VERSION` (done whenever the
 bracket computation itself changes meaning) invalidates every old entry
-by construction — stale files simply stop being addressed.
+by construction — the new version reads a log of its own.
 
 Robustness contract:
 
-* **writes are atomic** — entries are written to a temp file in the
-  shard directory and ``os.replace``'d into place, so concurrent writers
-  (e.g. the resilient runner's fresh worker processes) can race on the
-  same key and the loser merely overwrites identical bytes;
-* **a bad entry is a miss, never a crash** — truncated, garbled,
-  wrong-schema or non-finite entries are dropped (best-effort unlink),
+* **appends never interleave** — one append opens the log, takes an
+  exclusive ``flock``, completes a torn last line with a newline, writes
+  its lines with one write and closes the file.  No descriptor outlives
+  an append, so none is inherited across ``fork``, and any number of
+  processes share the log.  Inside :meth:`BracketCache.batch` the block's
+  new entries are one append;
+* **no fsync** — the cache needs integrity, which the CRC and the
+  torn-line skip give, not durability: a lost entry costs one recompute;
+* **a bad line is a miss, never a crash** — a torn, undecodable,
+  wrong-shaped or non-finite line, or one whose CRC fails, is skipped,
   counted in :attr:`CacheStats.corrupt` and reported via
-  :class:`BracketCacheWarning`;
+  :class:`BracketCacheWarning`; its bracket is recomputed and appended
+  again;
 * **an unusable cache directory degrades to pass-through** — I/O errors
   on read or write are counted (:attr:`CacheStats.io_errors`) and the
   bracket is computed as if no cache existed.
+
+Versions 1–3 kept one JSON file per bracket under two-hex-digit
+directories (``<cache_dir>/<key[:2]>/<key[2:]>.json``).  Those files are
+never read — their brackets are a clean miss, as after every version
+bump — but :meth:`BracketCache.scan` counts them and
+:meth:`BracketCache.clear` deletes them.
 
 ``BracketCache(":memory:")`` keeps only the LRU tier (used by the report
 generator, which wants sharing within one invocation but no durable
@@ -43,28 +58,34 @@ state).
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
 import os
 import pathlib
-import tempfile
 import warnings
+import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.model.instance import Instance
 from repro.offline.bracket import OptBracket, opt_bracket
 from repro.offline.exact import EXACT_JOB_LIMIT
+from repro.utils.sealed_log import LogReader, record_line
 
-#: Cache schema/semantics version.  Part of every key: bump it whenever
-#: the bracket computation or the entry layout changes meaning, and every
-#: previously written entry becomes unreachable (a clean global miss).
+#: Cache schema/semantics version.  Part of every key and of the log's
+#: file name: bump it whenever the bracket computation or the entry
+#: layout changes meaning, and every previously written entry becomes
+#: unreachable (a clean global miss).
 #: Version 2: the flow bound is the exact maximum flow rounded up.
 #: Version 3: exact values are summed in canonical dispatch order, which
 #: can move them by a few ulps.
-CACHE_VERSION = 3
+#: Version 4: one append-only CRC'd log per directory instead of one
+#: file per entry.
+CACHE_VERSION = 4
 
 #: Sentinel ``cache_dir`` selecting a memory-only cache (no disk tier).
 MEMORY_ONLY = ":memory:"
@@ -132,6 +153,40 @@ def bracket_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _entry_crc(key: str, lower: float, upper: float, exact: bool) -> str:
+    """CRC of one log entry: 8 hex digits over its canonical JSON payload.
+
+    Floats serialise as their shortest round-trip literals, so the CRC of
+    a decoded entry equals the CRC its writer computed.
+    """
+    blob = json.dumps([key, lower, upper, exact], allow_nan=False, separators=(",", ":"))
+    return format(zlib.crc32(blob.encode("utf-8")), "08x")
+
+
+def _decode_entry(record: dict[str, Any] | None) -> tuple[str, OptBracket] | None:
+    """``(key, bracket)`` of one decoded log line; ``None`` if it is unsound.
+
+    Unsound means not a JSON object, a missing or mistyped field, a
+    non-finite or inverted bracket, or a CRC that does not match.
+    """
+    if record is None:
+        return None
+    key, lower, upper, exact = (record.get(f) for f in ("key", "lower", "upper", "exact"))
+    if not (
+        isinstance(key, str)
+        and isinstance(lower, float)  # brackets are floats, even of no jobs
+        and isinstance(upper, float)
+        and isinstance(exact, bool)
+        and math.isfinite(lower)
+        and math.isfinite(upper)
+        and lower <= upper
+    ):
+        return None
+    if record.get("crc") != _entry_crc(key, lower, upper, exact):
+        return None
+    return key, OptBracket(lower=lower, upper=upper, exact=exact)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/evict counters for one :class:`BracketCache`."""
@@ -139,10 +194,11 @@ class CacheStats:
     memory_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
+    #: entries appended to the log.
     writes: int = 0
     #: entries pushed out of the memory LRU (they remain on disk).
     evictions: int = 0
-    #: unreadable entries dropped and recomputed (never raised).
+    #: unreadable log lines skipped (their brackets are recomputed).
     corrupt: int = 0
     #: read/write OS failures absorbed by pass-through degradation.
     io_errors: int = 0
@@ -200,17 +256,22 @@ class CacheReport:
     """On-disk census of a cache directory (``repro cache stats``)."""
 
     directory: str
+    #: distinct brackets in the log.
     entries: int
-    shards: int
+    #: log lines that would be skipped as corrupt.
+    corrupt: int
     total_bytes: int
+    #: entry files of the per-entry layout of versions 1–3 (never read).
+    old_entries: int
 
     def as_dict(self) -> dict[str, Any]:
         """Flat dict form (JSON-friendly)."""
         return {
             "directory": self.directory,
             "entries": self.entries,
-            "shards": self.shards,
+            "corrupt": self.corrupt,
             "total_bytes": self.total_bytes,
+            "old_entries": self.old_entries,
             "version": CACHE_VERSION,
         }
 
@@ -219,10 +280,11 @@ class BracketCache:
     """Two-tier content-addressed cache of :class:`OptBracket` records.
 
     ``cache_dir`` defaults to :func:`default_cache_dir`; pass
-    :data:`MEMORY_ONLY` (``":memory:"``) to disable the disk tier.  The
-    instance is picklable: only the configuration crosses process
-    boundaries — each fresh worker process starts with an empty LRU and
-    zeroed stats over the *shared* disk directory.
+    :data:`MEMORY_ONLY` (``":memory:"``) to disable the disk tier.
+    Constructing one does no I/O.  The instance is picklable: only the
+    configuration crosses process boundaries — each fresh worker process
+    starts with an empty LRU, no index and zeroed stats over the *shared*
+    log.
     """
 
     def __init__(
@@ -243,6 +305,10 @@ class BracketCache:
         self.max_memory_entries = max_memory_entries
         self.stats = CacheStats()
         self._memory: OrderedDict[str, OptBracket] = OrderedDict()
+        #: the log's entries by key, read at the first lookup.
+        self._index: dict[str, OptBracket] | None = None
+        #: lines put inside :meth:`batch`, appended when it exits.
+        self._pending: list[str] | None = None
 
     # -- pickling: ship configuration, not contents --------------------
 
@@ -261,18 +327,23 @@ class BracketCache:
 
     # -- layout --------------------------------------------------------
 
-    def entry_path(self, key: str) -> pathlib.Path:
-        """Sharded on-disk location of *key* (two-hex-digit fan-out)."""
+    @property
+    def log_path(self) -> pathlib.Path:
+        """The disk tier's log: ``<cache_dir>/brackets-v<CACHE_VERSION>.jsonl``."""
         if self.cache_dir is None:
-            raise ValueError("memory-only cache has no on-disk entries")
-        return self.cache_dir / key[:2] / f"{key[2:]}.json"
+            raise ValueError("memory-only cache has no log")
+        return self.cache_dir / f"brackets-v{CACHE_VERSION}.jsonl"
 
-    def _iter_entry_files(self) -> Iterator[pathlib.Path]:
+    def _old_entry_files(self) -> list[pathlib.Path]:
+        """Entry files of the per-entry layout of versions 1–3."""
         if self.cache_dir is None or not self.cache_dir.is_dir():
-            return
-        for shard in sorted(self.cache_dir.iterdir()):
-            if shard.is_dir() and len(shard.name) == 2:
-                yield from sorted(shard.glob("*.json"))
+            return []
+        return [
+            path
+            for shard in sorted(self.cache_dir.iterdir())
+            if shard.is_dir() and len(shard.name) == 2
+            for path in sorted(shard.glob("*.json"))
+        ]
 
     # -- memory tier ---------------------------------------------------
 
@@ -293,86 +364,121 @@ class BracketCache:
 
     # -- disk tier -----------------------------------------------------
 
-    def _disk_get(self, key: str) -> OptBracket | None:
-        path = self.entry_path(key)
+    def _read_log(self) -> tuple[dict[str, OptBracket], int]:
+        """The log's sound entries by key, and how many lines were not.
+
+        A missing log is empty; other ``OSError`` s propagate.
+        """
         try:
-            raw = path.read_bytes()
+            reader = LogReader(self.log_path)
         except FileNotFoundError:
-            return None
-        except OSError:
-            self.stats.io_errors += 1
-            return None
-        bracket = self._decode_entry(raw)
-        if bracket is None:
-            self.stats.corrupt += 1
-            warnings.warn(
-                f"dropping corrupt bracket-cache entry {path} (recomputing)",
-                BracketCacheWarning,
-                stacklevel=3,
-            )
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - unlink race / read-only dir
-                pass
-        return bracket
+            return {}, 0
+        entries: dict[str, OptBracket] = {}
+        corrupt = 0
+        for _, _, record in reader:
+            entry = _decode_entry(record)
+            if entry is None:
+                corrupt += 1
+            else:
+                entries[entry[0]] = entry[1]
+        return entries, corrupt + int(reader.truncated_tail)
 
-    @staticmethod
-    def _decode_entry(raw: bytes) -> OptBracket | None:
-        """Parse one entry; ``None`` for anything structurally unsound."""
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("version") != CACHE_VERSION:
-            return None
-        try:
-            lower = float(record["lower"])
-            upper = float(record["upper"])
-            exact = record["exact"]
-        except (KeyError, TypeError, ValueError):
-            return None
-        if not isinstance(exact, bool):
-            return None
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            return None
-        if lower > upper:
-            return None
-        return OptBracket(lower=lower, upper=upper, exact=exact)
-
-    def _disk_put(self, key: str, bracket: OptBracket) -> None:
-        path = self.entry_path(key)
-        record = json.dumps(
-            {
-                "version": CACHE_VERSION,
-                "key": key,
-                "lower": bracket.lower,
-                "upper": bracket.upper,
-                "exact": bracket.exact,
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-", suffix=".json", dir=path.parent
-            )
+    def _entries(self) -> dict[str, OptBracket]:
+        """The index, read from the log at the first call."""
+        if self._index is None:
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(record)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                self._index, corrupt = self._read_log()
+            except OSError:
+                self._index, corrupt = {}, 0
+                self.stats.io_errors += 1
+            if corrupt:
+                self.stats.corrupt += corrupt
+                warnings.warn(
+                    f"skipping {corrupt} corrupt line(s) of bracket-cache log "
+                    f"{self.log_path} (their brackets are recomputed)",
+                    BracketCacheWarning,
+                    stacklevel=4,
+                )
+        return self._index
+
+    def _append(self, lines: list[str]) -> None:
+        """Append *lines* to the log with one write, under an exclusive lock."""
+        data = "".join(lines).encode("utf-8")
+        try:
+            try:
+                fh = open(self.log_path, "a+b")
+            except FileNotFoundError:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+                fh = open(self.log_path, "a+b")
+            with fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        data = b"\n" + data  # complete a torn last line
+                fh.write(data)
+                fh.flush()
         except OSError:
             self.stats.io_errors += 1
             return
-        self.stats.writes += 1
+        self.stats.writes += len(lines)
+
+    # -- lookups -------------------------------------------------------
+
+    def _lookup(self, key: str) -> OptBracket | None:
+        bracket = self._memory_get(key)
+        if bracket is not None:
+            self.stats.memory_hits += 1
+            return bracket
+        if self.cache_dir is not None:
+            bracket = self._entries().get(key)
+            if bracket is not None:
+                self.stats.disk_hits += 1
+                self._memory_put(key, bracket)
+                return bracket
+        self.stats.misses += 1
+        return None
+
+    def _store(self, key: str, bracket: OptBracket) -> None:
+        self._memory_put(key, bracket)
+        if self.cache_dir is None:
+            return
+        self._entries()[key] = bracket
+        lower, upper, exact = bracket.lower, bracket.upper, bracket.exact
+        line = record_line(
+            {
+                "key": key,
+                "lower": lower,
+                "upper": upper,
+                "exact": exact,
+                "crc": _entry_crc(key, lower, upper, exact),
+            }
+        )
+        if self._pending is None:
+            self._append([line])
+        else:
+            self._pending.append(line)
 
     # -- public API ----------------------------------------------------
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Append every entry put in the block with one append on exit.
+
+        The entries go out even when the block raises; a nested batch
+        joins the outer one.
+        """
+        if self._pending is not None or self.cache_dir is None:
+            yield
+            return
+        self._pending = []
+        try:
+            yield
+        finally:
+            lines, self._pending = self._pending, None
+            if lines:
+                self._append(lines)
 
     def get(
         self,
@@ -381,19 +487,7 @@ class BracketCache:
         force_bounds: bool = False,
     ) -> OptBracket | None:
         """Look the bracket up in both tiers; ``None`` is a miss."""
-        key = bracket_key(instance, exact_limit, force_bounds)
-        bracket = self._memory_get(key)
-        if bracket is not None:
-            self.stats.memory_hits += 1
-            return bracket
-        if self.cache_dir is not None:
-            bracket = self._disk_get(key)
-            if bracket is not None:
-                self.stats.disk_hits += 1
-                self._memory_put(key, bracket)
-                return bracket
-        self.stats.misses += 1
-        return None
+        return self._lookup(bracket_key(instance, exact_limit, force_bounds))
 
     def put(
         self,
@@ -402,11 +496,9 @@ class BracketCache:
         exact_limit: int = EXACT_JOB_LIMIT,
         force_bounds: bool = False,
     ) -> None:
-        """Store a computed bracket in both tiers (atomic on disk)."""
-        key = bracket_key(instance, exact_limit, force_bounds)
-        self._memory_put(key, bracket)
-        if self.cache_dir is not None:
-            self._disk_put(key, bracket)
+        """Store a computed bracket in both tiers (appended at once outside
+        :meth:`batch`)."""
+        self._store(bracket_key(instance, exact_limit, force_bounds), bracket)
 
     def bracket(
         self,
@@ -415,29 +507,40 @@ class BracketCache:
         force_bounds: bool = False,
     ) -> OptBracket:
         """Cached :func:`repro.offline.bracket.opt_bracket` (get-or-compute)."""
-        cached = self.get(instance, exact_limit, force_bounds)
+        key = bracket_key(instance, exact_limit, force_bounds)
+        cached = self._lookup(key)
         if cached is not None:
             return cached
         bracket = opt_bracket(instance, exact_limit=exact_limit, force_bounds=force_bounds)
-        self.put(instance, bracket, exact_limit, force_bounds)
+        self._store(key, bracket)
         return bracket
 
     def clear(self) -> int:
-        """Drop the memory tier and delete every on-disk entry.
+        """Drop the memory tier, delete the log and every old-layout entry.
 
-        Returns the number of disk entries removed (0 for memory-only).
-        Shard directories are pruned when emptied; foreign files are
+        Returns the number of brackets removed: the log's distinct
+        entries plus the old layout's entry files (0 for memory-only).
+        Old shard directories are pruned when emptied; foreign files are
         left untouched.
         """
         self._memory.clear()
+        self._index = None
+        if self.cache_dir is None:
+            return 0
         removed = 0
-        for path in list(self._iter_entry_files()):
+        try:
+            entries, _ = self._read_log()
+            self.log_path.unlink(missing_ok=True)
+            removed = len(entries)
+        except OSError:
+            self.stats.io_errors += 1
+        for path in self._old_entry_files():
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 self.stats.io_errors += 1
-        if self.cache_dir is not None and self.cache_dir.is_dir():
+        if self.cache_dir.is_dir():
             for shard in self.cache_dir.iterdir():
                 if shard.is_dir() and len(shard.name) == 2:
                     try:
@@ -448,21 +551,17 @@ class BracketCache:
 
     def scan(self) -> CacheReport:
         """Census of the disk tier (``repro cache stats`` backing)."""
-        entries = 0
-        shards: set[str] = set()
-        total = 0
-        for path in self._iter_entry_files():
-            entries += 1
-            shards.add(path.parent.name)
-            try:
-                total += path.stat().st_size
-            except OSError:  # pragma: no cover - deleted mid-scan
-                pass
+        entries: dict[str, OptBracket] = {}
+        corrupt = total = 0
+        if self.cache_dir is not None and self.log_path.is_file():
+            entries, corrupt = self._read_log()
+            total = self.log_path.stat().st_size
         return CacheReport(
             directory=MEMORY_ONLY if self.cache_dir is None else os.fspath(self.cache_dir),
-            entries=entries,
-            shards=len(shards),
+            entries=len(entries),
+            corrupt=corrupt,
             total_bytes=total,
+            old_entries=len(self._old_entry_files()),
         )
 
 

@@ -16,8 +16,10 @@ Design notes
   seed uniquely identifies a cell across runs and across machines — the
   journal never needs to trust iteration order.
 * **Append-only JSONL on the sealed log.**  The file itself is a
-  :mod:`repro.utils.sealed_log`: one record per line, each written,
-  flushed and fsync'd as one commit per cell.  A hard kill can at worst
+  :mod:`repro.utils.sealed_log`: one record per line, written, flushed
+  and fsync'd as one commit per cell, or as one commit for every record
+  of a :meth:`SweepJournal.group` (the lease loop's pass), byte for byte
+  the same file.  A hard kill can at worst
   truncate the *final* line; the loader tolerates (and reports) a single
   trailing partial record, and :meth:`SweepJournal.resume` truncates it
   away before appending so that repeated kill/resume cycles never glue
@@ -81,7 +83,9 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 import zlib
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
@@ -165,7 +169,9 @@ def row_from_payload(payload: list[Any]) -> SweepRow:
         raise JournalError(
             f"row payload has {len(payload)} fields, expected {len(ROW_FIELDS)}"
         )
-    return SweepRow(**dict(zip(ROW_FIELDS, payload)))
+    row = dict(zip(ROW_FIELDS, payload))
+    row["algorithm"] = sys.intern(row["algorithm"])  # one copy per name
+    return SweepRow(**row)
 
 
 def row_crc(seed: int, payloads: list[list[Any]]) -> str:
@@ -749,6 +755,15 @@ class SweepJournal:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+    def group(self) -> AbstractContextManager[None]:
+        """Commit every record of the block with one commit on exit.
+
+        See :meth:`~repro.utils.sealed_log.LogWriter.group`: the bytes are
+        those of one commit per record, and the records are committed even
+        when the block raises.
+        """
+        return self._log.group()
 
     # -- records -------------------------------------------------------
 

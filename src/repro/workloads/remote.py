@@ -86,6 +86,7 @@ import sys
 import time
 import zlib
 from collections.abc import Hashable
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing.connection import wait
@@ -976,8 +977,10 @@ class _LeaseLoop:
         if not (link.idle and link.state == "active" and link.live) or self.held(link):
             return
         now = time.monotonic()
-        active = sum(other.live and other.state == "active" for other in self.links.values())
-        size = min(self.group_size, -(-len(queue.pending) // active))  # a fair share
+        # A fair share over every live link: one still saying hello would
+        # otherwise find the queue emptied by the first link to be active.
+        live = sum(other.live for other in self.links.values())
+        size = min(self.group_size, -(-len(queue.pending) // live))
         leases: list[Lease] = []
         while len(leases) < max(size, 1):
             if leases and not (queue.pending and not queue.pending[0].history):
@@ -1050,34 +1053,36 @@ class _LeaseLoop:
                     self.fail_leases(link, detail, charge_cell=False)
 
     def journal_wins(self) -> None:
-        """Record this pass's wins.  Runs after the pass's grants, so a
-        journal fsync never holds up a worker's next lease."""
+        """Record this pass's wins with one journal commit.  Runs after the
+        pass's grants, so the fsync never holds up a worker's next lease;
+        the commit happens on the way out of a simulated interrupt too."""
         wins, self.wins = self.wins, []
-        for i, (link, lease, rows, lease_ms) in enumerate(wins):
-            self.completed[lease.seed] = rows
-            self.manifest.cells_completed += 1
-            if lease.attempt > 1 or lease.history:
-                self.manifest.recovered += 1
-            if self.journal is not None:
-                self.journal.record_cell(
-                    lease.seed, lease.eps, lease.m, lease.rep, rows,
-                    provenance={
-                        "host": link.host.spec.name,
-                        "slot": link.slot,
-                        "worker": link.id,
-                        "attempt": lease.attempt,
-                        "heartbeats": lease.heartbeats,
-                        "lease_ms": lease_ms,
-                        "speculative": lease.speculative,
-                        "transport": "local" if link.host.local else "remote",
-                    },
-                )
-            self.new_cells += 1
-            limit = self.policy.interrupt_after
-            if limit is not None and self.new_cells >= limit and (
-                i + 1 < len(wins) or not self.queue.done
-            ):
-                raise KeyboardInterrupt  # simulated hard kill, same path as SIGINT
+        with nullcontext() if self.journal is None else self.journal.group():
+            for i, (link, lease, rows, lease_ms) in enumerate(wins):
+                self.completed[lease.seed] = rows
+                self.manifest.cells_completed += 1
+                if lease.attempt > 1 or lease.history:
+                    self.manifest.recovered += 1
+                if self.journal is not None:
+                    self.journal.record_cell(
+                        lease.seed, lease.eps, lease.m, lease.rep, rows,
+                        provenance={
+                            "host": link.host.spec.name,
+                            "slot": link.slot,
+                            "worker": link.id,
+                            "attempt": lease.attempt,
+                            "heartbeats": lease.heartbeats,
+                            "lease_ms": lease_ms,
+                            "speculative": lease.speculative,
+                            "transport": "local" if link.host.local else "remote",
+                        },
+                    )
+                self.new_cells += 1
+                limit = self.policy.interrupt_after
+                if limit is not None and self.new_cells >= limit and (
+                    i + 1 < len(wins) or not self.queue.done
+                ):
+                    raise KeyboardInterrupt  # simulated hard kill, same path as SIGINT
 
     # -- the loop ------------------------------------------------------
 

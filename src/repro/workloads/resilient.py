@@ -34,6 +34,7 @@ import multiprocessing as mp
 import os
 import pickle
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -278,16 +279,18 @@ def run_cells(
     (same algorithm, machine count and job count) step through the batch
     kernel together; ``backend="scalar"`` runs each on the scalar kernel
     instead.  Rows are bit-identical either way, so journals, resumes and
-    shard merges do not depend on how cells were grouped.
+    shard merges do not depend on how cells were grouped.  The cells' new
+    brackets go to *cache* in one :meth:`~BracketCache.batch` append.
     """
     from repro.engine.backend import SimulationRequest, run_simulations
 
     instances = []
     brackets = []
-    for eps, m, rep in cells:
-        instance = spec.workload(m, eps, spec.cell_seed(eps, m, rep))
-        instances.append(instance)
-        brackets.append(cell_bracket(spec, instance, cache))
+    with nullcontext() if cache is None else cache.batch():
+        for eps, m, rep in cells:
+            instance = spec.workload(m, eps, spec.cell_seed(eps, m, rep))
+            instances.append(instance)
+            brackets.append(cell_bracket(spec, instance, cache))
     requests = [
         SimulationRequest(
             name,

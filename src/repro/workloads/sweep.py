@@ -49,9 +49,13 @@ def cell_seed_for(base_seed: int, eps: float, m: int, rep: int) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
-    """One (epsilon, m, repetition, algorithm) measurement."""
+    """One (epsilon, m, repetition, algorithm) measurement.
+
+    Slotted: a sweep keeps every row until it returns, and a row without
+    an instance ``__dict__`` takes about a quarter less memory.
+    """
 
     epsilon: float
     machines: int

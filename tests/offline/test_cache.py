@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import pickle
 import tempfile
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import repro.offline.cache as cache_mod
 from repro.model.instance import Instance
 from repro.model.job import Job
-from repro.offline.bracket import opt_bracket
+from repro.offline.bracket import OptBracket, opt_bracket
 from repro.offline.cache import (
     BracketCache,
     BracketCacheWarning,
@@ -104,16 +106,18 @@ class TestBracketCache:
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.misses == 0
 
-    def test_sharded_layout(self, tmp_path):
+    def test_one_log_layout(self, tmp_path):
         cache = BracketCache(tmp_path)
-        inst = _instance()
-        cache.bracket(inst)
-        key = bracket_key(inst)
-        path = cache.entry_path(key)
-        assert path.is_file()
-        assert path.parent.name == key[:2]
-        record = json.loads(path.read_text())
-        assert record["key"] == key
+        instances = [_instance(seed=s) for s in range(3)]
+        brackets = [cache.bracket(inst) for inst in instances]
+        assert cache.log_path == tmp_path / f"brackets-v{cache_mod.CACHE_VERSION}.jsonl"
+        assert [p.name for p in tmp_path.iterdir()] == [cache.log_path.name]
+        records = [json.loads(line) for line in cache.log_path.read_text().splitlines()]
+        assert [sorted(r) for r in records] == [["crc", "exact", "key", "lower", "upper"]] * 3
+        assert [r["key"] for r in records] == [bracket_key(inst) for inst in instances]
+        assert [(r["lower"], r["upper"], r["exact"]) for r in records] == [
+            (b.lower, b.upper, b.exact) for b in brackets
+        ]
 
     def test_permuted_instance_hits(self, tmp_path):
         cache = BracketCache(tmp_path)
@@ -134,19 +138,22 @@ class TestBracketCache:
         assert cache.memory_only and cache.cache_dir is None
         assert cache.stats.memory_hits == 1 and cache.stats.writes == 0
         with pytest.raises(ValueError):
-            cache.entry_path(bracket_key(inst))
+            cache.log_path
+        with cache.batch():
+            cache.bracket(_instance(seed=4))
+        assert cache.stats.writes == 0
 
     def test_clear_and_scan(self, tmp_path):
         cache = BracketCache(tmp_path)
         for seed in range(3):
             cache.bracket(_instance(seed=seed))
+        cache.put(_instance(seed=0), cache.bracket(_instance(seed=0)))  # a duplicate line
         report = cache.scan()
-        assert report.entries == 3
-        assert report.total_bytes > 0
-        assert 1 <= report.shards <= 3
+        assert (report.entries, report.corrupt, report.old_entries) == (3, 0, 0)
+        assert report.total_bytes == cache.log_path.stat().st_size > 0
         assert cache.clear() == 3
         assert cache.scan().entries == 0
-        assert not any(p.is_dir() and len(p.name) == 2 for p in tmp_path.iterdir())
+        assert not cache.log_path.exists()
         # cleared means recompute, not a stale hit
         cache.bracket(_instance(seed=0))
         assert cache.stats.misses >= 4
@@ -239,24 +246,75 @@ def test_cached_bracket_bit_identical(inst, perm_seed):
 # ----------------------------------------------------------------------
 
 
+def _log_lines(cache: BracketCache) -> list[bytes]:
+    return cache.log_path.read_bytes().splitlines(keepends=True)
+
+
 class TestRobustness:
     @pytest.mark.parametrize("damage_seed", [0, 1, 2, 3, 4, 5])
     def test_corrupt_entry_is_a_counted_miss(self, tmp_path, damage_seed):
         cache = BracketCache(tmp_path)
         inst = _instance()
         expected = cache.bracket(inst)
-        corrupt_file(cache.entry_path(bracket_key(inst)), seed=damage_seed)
+        corrupt_file(cache.log_path, seed=damage_seed)
         reader = BracketCache(tmp_path)
         with pytest.warns(BracketCacheWarning):
             recovered = reader.bracket(inst)
         assert recovered == expected
         assert reader.stats.corrupt == 1
         assert reader.stats.misses == 1
-        assert reader.stats.writes == 1  # rewritten after the recompute
-        # the rewritten entry is healthy again
+        assert reader.stats.writes == 1  # appended again after the recompute
+        # the appended entry is healthy; the damaged line stays skipped
         healthy = BracketCache(tmp_path)
-        assert healthy.bracket(inst) == expected
-        assert healthy.stats.disk_hits == 1
+        with pytest.warns(BracketCacheWarning):
+            assert healthy.bracket(inst) == expected
+        assert healthy.stats.disk_hits == 1 and healthy.stats.corrupt == 1
+
+    def test_one_changed_digit_fails_the_crc(self, tmp_path):
+        cache = BracketCache(tmp_path)
+        inst = _instance()
+        expected = cache.bracket(inst)
+        text = cache.log_path.read_text()
+        digit = repr(json.loads(text)["lower"])[0]
+        other = "1" if digit != "1" else "2"
+        cache.log_path.write_text(text.replace(f'"lower": {digit}', f'"lower": {other}', 1))
+        assert json.loads(cache.log_path.read_text())["lower"] != expected.lower
+        reader = BracketCache(tmp_path)
+        with pytest.warns(BracketCacheWarning):
+            assert reader.bracket(inst) == expected
+        assert (reader.stats.corrupt, reader.stats.misses, reader.stats.hits) == (1, 1, 0)
+
+    @pytest.mark.parametrize("damage", ["torn-tail", "garbage", "wrong-shape", "huge-int"])
+    def test_each_bad_line_is_one_counted_miss(self, tmp_path, damage):
+        cache = BracketCache(tmp_path)
+        instances = [_instance(seed=s, n=6) for s in range(3)]
+        expected = [cache.bracket(inst) for inst in instances]
+        lines = _log_lines(cache)
+        victim = 2 if damage == "torn-tail" else 1
+        if damage == "torn-tail":
+            lines[victim] = lines[victim][: len(lines[victim]) // 2]
+        elif damage == "garbage":
+            lines[victim] = b"\x93\xff{not json at all\n"
+        elif damage == "wrong-shape":
+            lines[victim] = b'{"not": "a bracket"}\n'
+        else:  # too large for a float: must not raise OverflowError
+            record = json.loads(lines[victim])
+            record["lower"] = record["upper"] = 10**400
+            lines[victim] = (json.dumps(record) + "\n").encode()
+        cache.log_path.write_bytes(b"".join(lines))
+
+        reader = BracketCache(tmp_path)
+        with pytest.warns(BracketCacheWarning):
+            assert [reader.bracket(inst) for inst in instances] == expected
+        assert reader.stats.corrupt == 1
+        assert (reader.stats.disk_hits, reader.stats.misses, reader.stats.writes) == (2, 1, 1)
+        # a torn tail is completed with a newline before the append
+        assert all(line.endswith(b"\n") for line in _log_lines(cache))
+
+        later = BracketCache(tmp_path)
+        with pytest.warns(BracketCacheWarning):
+            assert [later.bracket(inst) for inst in instances] == expected
+        assert (later.stats.disk_hits, later.stats.misses, later.stats.corrupt) == (3, 0, 1)
 
     def test_all_damage_modes_covered(self):
         # the seeds used above exercise every corrupt_file damage mode
@@ -284,14 +342,31 @@ class TestRobustness:
         cache = BracketCache(tmp_path)
         inst = _instance()
         expected = cache.bracket(inst)
-        path = cache.entry_path(bracket_key(inst))
-        record = json.loads(path.read_text())
-        record["upper"] = "Infinity"
-        path.write_text(json.dumps(record))
+        record = json.loads(cache.log_path.read_text())
+        record["upper"] = float("inf")
+        cache.log_path.write_text(json.dumps(record) + "\n")  # an Infinity literal
         reader = BracketCache(tmp_path)
         with pytest.warns(BracketCacheWarning):
             assert reader.bracket(inst) == expected
         assert reader.stats.corrupt == 1
+
+    def test_old_layout_is_ignored_counted_and_cleared(self, tmp_path):
+        inst = _instance()
+        key = bracket_key(inst)
+        bracket = opt_bracket(inst)
+        old = tmp_path / key[:2] / f"{key[2:]}.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps({
+            "version": 3, "key": key, "lower": bracket.lower,
+            "upper": bracket.upper, "exact": bracket.exact,
+        }))
+        cache = BracketCache(tmp_path)
+        assert cache.get(inst) is None
+        assert (cache.stats.misses, cache.stats.corrupt) == (1, 0)
+        report = cache.scan()
+        assert (report.entries, report.old_entries) == (0, 1)
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unusable_directory_degrades_to_passthrough(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -330,12 +405,102 @@ class TestConcurrentWriters:
         # no worker ever saw corruption or an IO failure
         assert all(r["stats"]["corrupt"] == 0 for r in results)
         assert all(r["stats"]["io_errors"] == 0 for r in results)
-        # the surviving entries are healthy
+        # the surviving entries are healthy, and no line interleaved
         verifier = BracketCache(tmp_path)
         for s in range(4):
             verifier.bracket(_instance(seed=s, n=6))
         assert verifier.stats.disk_hits == 4
-        assert verifier.scan().entries == 4
+        assert (verifier.scan().entries, verifier.scan().corrupt) == (4, 0)
+
+
+def _synthetic(i: int) -> tuple[Instance, OptBracket]:
+    """A distinct instance per *i* and an arbitrary bracket to store."""
+    inst = Instance([Job(0.0, 1.0, 2.0 + i)], machines=1, epsilon=1.0)
+    return inst, OptBracket(lower=i / 7, upper=i / 7 + 1.0, exact=i % 2 == 0)
+
+
+def _append_worker(cache_dir: str, worker: int, start) -> None:
+    cache = BracketCache(cache_dir)
+    start.wait(30)
+    i = worker * 1000
+    for size in [1, 3, 120, 2, 1, 7, 60, 5, 1] * 2:  # up to ~20 KB per append
+        with cache.batch():
+            for _ in range(size):
+                cache.put(*_synthetic(i))
+                i += 1
+
+
+def _fd_targets() -> set[str]:
+    fds = "/proc/self/fd"
+    targets = set()
+    for fd in os.listdir(fds):
+        try:
+            targets.add(os.readlink(os.path.join(fds, fd)))
+        except OSError:
+            pass  # the listing's own descriptor
+    return targets
+
+
+class TestSharedLog:
+    def test_concurrent_appends_never_interleave(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        start = ctx.Event()
+        workers = [
+            ctx.Process(target=_append_worker, args=(str(tmp_path), w, start))
+            for w in range(4)
+        ]
+        for process in workers:
+            process.start()
+        start.set()
+        for process in workers:
+            process.join(60)
+        assert [p.exitcode for p in workers] == [0] * 4
+        per_worker = 2 * (1 + 3 + 120 + 2 + 1 + 7 + 60 + 5 + 1)
+        report = BracketCache(tmp_path).scan()
+        assert (report.entries, report.corrupt) == (4 * per_worker, 0)
+        reader = BracketCache(tmp_path)
+        for w in range(4):
+            for i in range(w * 1000, w * 1000 + per_worker):
+                inst, bracket = _synthetic(i)
+                assert reader.get(inst) == bracket
+
+    def test_forked_child_appends_through_its_own_descriptor(self, tmp_path):
+        cache = BracketCache(tmp_path)
+        cache.put(*_synthetic(0))
+        assert str(cache.log_path) not in _fd_targets()  # nothing to inherit
+        child = multiprocessing.get_context("fork").Process(
+            target=cache.put, args=_synthetic(1)
+        )
+        child.start()
+        child.join(30)
+        assert child.exitcode == 0
+        cache.put(*_synthetic(2))
+        reader = BracketCache(tmp_path)
+        assert [reader.get(_synthetic(i)[0]) for i in range(3)] == [
+            _synthetic(i)[1] for i in range(3)
+        ]
+        assert reader.stats.corrupt == 0 and len(_log_lines(cache)) == 3
+
+    def test_run_cells_appends_once(self, tmp_path, monkeypatch):
+        import fcntl
+
+        from repro.workloads.resilient import run_cells
+        from repro.workloads.sweep import SweepSpec
+
+        locks = []
+        real_flock = fcntl.flock
+        monkeypatch.setattr(
+            fcntl, "flock", lambda fd, op: (locks.append(op), real_flock(fd, op))
+        )
+        spec = SweepSpec(
+            epsilons=[0.2, 0.4], machine_counts=[2], algorithms=["greedy"],
+            workload=partial(random_instance, 6), repetitions=4, base_seed=5,
+        )
+        cache = BracketCache(tmp_path)
+        rows = run_cells(spec, list(spec.cells()), {}, cache)
+        assert len(rows) == 8 and locks == [fcntl.LOCK_EX]
+        assert cache.stats.writes == 8 and len(_log_lines(cache)) == 8
+        assert rows == run_cells(spec, list(spec.cells()), {}, None)
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +509,6 @@ class TestConcurrentWriters:
 
 
 def test_resilient_runner_reports_cache_stats(tmp_path):
-    from functools import partial
-
     from repro.workloads.execute import ExecutionPolicy, execute_sweep
     from repro.workloads.sweep import SweepSpec
 

@@ -58,6 +58,21 @@ class TestRowSerialization:
         with pytest.raises(JournalError, match="fields"):
             row_from_payload([1, 2, 3])
 
+    def test_decoded_rows_are_slotted_hashable_and_pickle(self):
+        import json
+        import pickle
+
+        rows = execute_sweep(_spec(algorithms=["greedy", "threshold"])).rows
+        decoded = [
+            row_from_payload(p)
+            for p in json.loads(json.dumps([row_to_payload(r) for r in rows]))
+        ]
+        assert not hasattr(decoded[0], "__dict__")
+        assert decoded == rows and {hash(r) for r in decoded} == {hash(r) for r in rows}
+        assert pickle.loads(pickle.dumps(decoded)) == rows
+        # one string object per algorithm name, however many rows decode it
+        assert len({id(r.algorithm) for r in decoded}) == 2
+
 
 class TestJournalLifecycle:
     def test_create_record_load(self, tmp_path):
@@ -404,12 +419,14 @@ class TestFailStop:
     def test_a_failed_fsync_stops_the_lease_loop_and_resume_completes_it(
         self, tmp_path, monkeypatch
     ):
-        spec = _spec(algorithms=["greedy", "threshold"], repetitions=6)
+        # Enough cells that the sweep is not done after three commits: a
+        # pass commits at most one 8-cell group lease of the one worker.
+        spec = _spec(algorithms=["greedy", "threshold"], repetitions=32)
         path = tmp_path / "sweep.jsonl"
         fsyncs = []
         real_fsync = os.fsync
 
-        def fsync(fd):  # the header and two cells reach the disk
+        def fsync(fd):  # the header and two passes reach the disk
             fsyncs.append(fd)
             if len(fsyncs) > 3:
                 raise OSError(errno.EIO, "Input/output error")
@@ -419,14 +436,17 @@ class TestFailStop:
         with pytest.raises(JournalError, match="journal commit failed"):
             execute_sweep(spec, ExecutionPolicy(workers=1, journal=path))
         monkeypatch.setattr(os, "fsync", real_fsync)
+        assert len(fsyncs) == 4  # nothing is written after the failed commit
+        # Each pass commits at least one cell, and the failed commit's
+        # lines were written before its fsync failed.
         verdict = verify_journal(path)
-        assert (verdict.status, verdict.cells) == ("unsealed", 3)
+        assert verdict.status == "unsealed" and 3 <= verdict.cells <= 24
         assert verdict.state.stats == []  # no trailer after the failure
         resumed = execute_sweep(
             spec, ExecutionPolicy(workers=1, journal=path, resume=True)
         )
-        assert resumed.manifest.cells_replayed == 3
-        assert resumed.manifest.cells_completed == 3
+        assert resumed.manifest.cells_replayed == verdict.cells
+        assert resumed.manifest.cells_completed == 32 - verdict.cells
         assert resumed.rows == execute_sweep(spec).rows
         assert verify_journal(path).ok
 

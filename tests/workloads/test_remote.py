@@ -535,6 +535,73 @@ class TestForkSafety:
 
 
 # ---------------------------------------------------------------------------
+# lease-loop units: group-lease sizing and the per-pass journal commit
+# ---------------------------------------------------------------------------
+
+
+def _unit_loop(spec, cells, **policy):
+    """A lease loop with its queue and journal set up and no worker started."""
+    return remote._LeaseLoop(spec, ExecutionPolicy(workers=2, **policy), {}, None, cells, None)
+
+
+def _local_link(link_id: int, host, **fields):
+    return remote._Link(id=link_id, host=host, slot=link_id, **fields)
+
+
+class TestLeaseLoopUnits:
+    def test_group_lease_is_a_fair_share_of_every_live_link(self, monkeypatch):
+        spec = _spec()
+        loop = _unit_loop(spec, list(spec.cells()))
+        host = remote._Host(spec=HostSpec(name=remote.LOCAL_HOST, slots=2), local=True)
+        active = _local_link(0, host, process=object(), state="active", idle=True)
+        hello = _local_link(1, host, process=object())  # handshake not finished
+        loop.links = {0: active, 1: hello}
+        sent = []
+        monkeypatch.setattr(loop, "send", lambda link, op, **fields: sent.append((op, fields)))
+        loop.grant(active)
+        [(op, lease)] = sent
+        assert op == "lease" and len(loop.queue.pending) == 4
+        assert 1 + len(lease.get("group", [])) == 4
+
+    def _pass_of_wins(self, tmp_path, name, monkeypatch, **policy):
+        """Journal four wins in one pass; returns (fsyncs, journal bytes)."""
+        spec = _spec()
+        cells = list(spec.cells())[:4]
+        loop = _unit_loop(spec, cells, journal=tmp_path / name, **policy)
+        rows = {spec.cell_seed(*cell): r for cell, r in zip(cells, run_cells(spec, cells, {}))}
+        host = remote._Host(spec=HostSpec(name=remote.LOCAL_HOST, slots=1), local=True)
+        link = _local_link(0, host)
+        leases = [loop.queue.next_lease((0, i), 0.0) for i in range(4)]
+        loop.wins = [(link, lease, rows[lease.seed], 1.5) for lease in leases]
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        try:
+            loop.journal_wins()
+        finally:
+            loop.journal.close()
+            monkeypatch.setattr(os, "fsync", real_fsync)
+        return len(fsyncs), (tmp_path / name).read_bytes()
+
+    def test_journal_wins_commits_a_pass_once(self, tmp_path, monkeypatch):
+        from contextlib import nullcontext
+
+        from repro.workloads.journal import SweepJournal
+
+        fsyncs, grouped = self._pass_of_wins(tmp_path, "grouped.jsonl", monkeypatch)
+        assert fsyncs == 1
+        assert len(load_journal(tmp_path / "grouped.jsonl").completed) == 4
+        monkeypatch.setattr(SweepJournal, "group", lambda self: nullcontext())
+        fsyncs, single = self._pass_of_wins(tmp_path, "single.jsonl", monkeypatch)
+        assert fsyncs == 4 and single == grouped
+
+    def test_an_interrupt_mid_pass_commits_the_staged_wins(self, tmp_path, monkeypatch):
+        with pytest.raises(KeyboardInterrupt):
+            self._pass_of_wins(tmp_path, "cut.jsonl", monkeypatch, interrupt_after=2)
+        assert len(load_journal(tmp_path / "cut.jsonl").completed) == 2
+
+
+# ---------------------------------------------------------------------------
 # hypothesis: partition -> expiry -> re-dispatch -> heal -> duplicate
 # delivery converges to the same journal rows (pure state machines)
 # ---------------------------------------------------------------------------
